@@ -85,6 +85,13 @@ impl SubstModel for AnyModel {
             AnyModel::Codon(m) => m.transition_matrix(t),
         }
     }
+    fn transition_matrix_into(&self, t: f64, out: &mut [f64]) {
+        match self {
+            AnyModel::Nuc(m) => m.transition_matrix_into(t, out),
+            AnyModel::Aa(m) => m.transition_matrix_into(t, out),
+            AnyModel::Codon(m) => m.transition_matrix_into(t, out),
+        }
+    }
     fn name(&self) -> &str {
         match self {
             AnyModel::Nuc(m) => m.name(),

@@ -16,7 +16,7 @@ use crate::progress::Progress;
 use crate::validate::{validate, ValidationError, ValidationReport};
 use crate::work::WorkAccount;
 use phylo::alignment::Alignment;
-use phylo::likelihood::evaluate_patterns;
+use phylo::likelihood::Partials;
 use phylo::models::SiteRates;
 use phylo::patterns::PatternSet;
 use phylo::tree::Tree;
@@ -88,6 +88,9 @@ struct ModelCache {
     params: ModelParams,
     model: AnyModel,
     rates: SiteRates,
+    /// Partials of the last tree scored under `model` and `rates`, reused
+    /// by the next one; reset whenever they are rebuilt.
+    partials: Partials,
 }
 
 impl Search {
@@ -150,7 +153,7 @@ impl Search {
     /// Build and score the initial population.
     fn initialize(&self, rng: &mut SimRng) -> SearchCheckpoint {
         let params = ModelParams::from_config(&self.config);
-        let mut cache = self.fresh_cache(params.clone());
+        let mut cache = self.fresh_cache(params.clone(), Partials::new());
         let mut work = WorkAccount::new();
 
         let base_tree = self.starting_tree(rng, &mut cache, &mut work);
@@ -197,7 +200,10 @@ impl Search {
                 let mut best: Option<(Tree, f64)> = None;
                 for _ in 0..candidates {
                     let t = Tree::random_topology(self.alignment.num_taxa(), rng);
-                    let ev = evaluate_patterns(&self.patterns, &cache.model, &cache.rates, &t);
+                    let ev =
+                        cache
+                            .partials
+                            .evaluate(&self.patterns, &cache.model, &cache.rates, &t);
                     work.add(ev.work);
                     if best.as_ref().is_none_or(|(_, l)| ev.log_likelihood > *l) {
                         best = Some((t, ev.log_likelihood));
@@ -208,13 +214,17 @@ impl Search {
         }
     }
 
-    fn fresh_cache(&self, params: ModelParams) -> ModelCache {
+    /// A model cache for `params` that keeps `partials`' buffers but resets
+    /// them: what they hold was computed under another model.
+    fn fresh_cache(&self, params: ModelParams, mut partials: Partials) -> ModelCache {
+        partials.reset();
         let model = build_model(&self.config, &params, &self.alignment);
         let rates = build_rates(&self.config, &params);
         ModelCache {
             params,
             model,
             rates,
+            partials,
         }
     }
 
@@ -222,9 +232,11 @@ impl Search {
     /// differ from the cached ones.
     fn score(&self, ind: &mut Individual, cache: &mut ModelCache, work: &mut WorkAccount) {
         if ind.params != cache.params {
-            *cache = self.fresh_cache(ind.params.clone());
+            *cache = self.fresh_cache(ind.params.clone(), std::mem::take(&mut cache.partials));
         }
-        let ev = evaluate_patterns(&self.patterns, &cache.model, &cache.rates, &ind.tree);
+        let ev = cache
+            .partials
+            .evaluate(&self.patterns, &cache.model, &cache.rates, &ind.tree);
         ind.log_likelihood = ev.log_likelihood;
         work.add(ev.work);
     }
@@ -238,7 +250,7 @@ impl Search {
         mut on_checkpoint: impl FnMut(&SearchCheckpoint),
     ) -> SearchResult {
         let mut work = WorkAccount::from_cells(state.work_cells);
-        let mut cache = self.fresh_cache(state.population[0].params.clone());
+        let mut cache = self.fresh_cache(state.population[0].params.clone(), Partials::new());
         let popsize = self.config.population_size;
         let termination;
 

@@ -338,6 +338,26 @@ mod tests {
     }
 
     #[test]
+    fn newick_with_invalid_branch_length_rejected() {
+        for nwk in [
+            "(t0:1e999,t1:0.1,(t2:0.1,t3:0.1):0.1);",
+            "(t0:-0.5,t1:0.1,(t2:0.1,t3:0.1):0.1);",
+        ] {
+            let mut config = GarliConfig::quick_nucleotide();
+            config.starting_tree = StartingTree::Newick(nwk.into());
+            match validate(&config, &aln(4, 100)) {
+                Err(ValidationError::BadStartingTree { message }) => {
+                    assert!(
+                        message.contains("invalid branch length"),
+                        "{nwk}: {message}"
+                    )
+                }
+                other => panic!("{nwk}: expected BadStartingTree, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn good_newick_accepted() {
         let mut config = GarliConfig::quick_nucleotide();
         config.starting_tree = StartingTree::Newick("(t0:1,(t1:1,t2:1):1,t3:1);".into());

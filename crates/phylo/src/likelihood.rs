@@ -16,7 +16,6 @@
 
 use crate::alignment::Alignment;
 use crate::alphabet::State;
-use crate::linalg::Matrix;
 use crate::models::{SiteRates, SubstModel};
 use crate::patterns::PatternSet;
 use crate::tree::Tree;
@@ -94,6 +93,9 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
 /// the free-function form used by search loops that mutate model parameters
 /// between evaluations.
 ///
+/// This is a full evaluation: it runs the [`Partials`] kernel on a fresh
+/// workspace, so nothing is reused from earlier calls.
+///
 /// # Panics
 /// Panics if the tree's taxon count does not match the pattern set.
 pub fn evaluate_patterns<M: SubstModel>(
@@ -102,134 +104,354 @@ pub fn evaluate_patterns<M: SubstModel>(
     rates: &SiteRates,
     tree: &Tree,
 ) -> Evaluation {
-    Evaluator {
-        patterns,
-        model,
-        rates,
-        num_states: model.num_states(),
+    Partials::new().evaluate(patterns, model, rates, tree)
+}
+
+/// Patterns whose largest partial falls below this are rescaled.
+const RESCALE_BELOW: f64 = 1e-30;
+
+/// "No buffer" in the slot and parent tables.
+const NONE: usize = usize::MAX;
+
+/// One child of a buffered node: a tip, or another buffer as it stood after
+/// its `generation`-th overwrite.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum ChildRef {
+    Taxon(usize),
+    Buffer { id: usize, generation: u64 },
+}
+
+/// What a buffer was computed from: both children with the bits of their
+/// branch lengths, in sorted order (the child product commutes exactly, so
+/// the order the tree lists them in does not change the partials).
+type Key = [(ChildRef, u64); 2];
+
+/// The partials of one internal node.
+#[derive(Debug, Default)]
+struct Buffer {
+    /// Conditional likelihoods, laid out `[category][pattern][state]`.
+    clv: Vec<f64>,
+    /// `(pattern, ln factor)` for every pattern this node rescaled.
+    scale: Vec<(usize, f64)>,
+    /// Likelihood cells computing this node took.
+    cells: u64,
+    /// What `clv` holds; `None` when it holds nothing reusable.
+    key: Option<Key>,
+    /// Bumped on every overwrite, so keys naming this buffer go stale.
+    generation: u64,
+}
+
+/// A reusable workspace for Felsenstein pruning: one partials buffer per
+/// internal node of the last tree it scored.
+///
+/// Each buffer is keyed exactly by its two children (a taxon, or a buffer
+/// and that buffer's overwrite count) and their branch-length bits. An
+/// evaluation reuses every internal node whose children are tips or reused
+/// nodes and whose key matches a buffer, and recomputes only the others
+/// into the buffers left over. A GA offspring that differs from the
+/// previously scored tree by one mutation therefore recomputes about one
+/// path to the root.
+///
+/// Reuse never changes a result. Every partial is computed by the same
+/// operations in the same order as on a fresh workspace, so the
+/// log-likelihood is bit-identical, and a reused node adds the cells it
+/// took to compute to `work`, so the count equals a full evaluation's.
+///
+/// Stored partials are only valid for the pattern set, model and rates
+/// they were computed under: call [`Partials::reset`] whenever any of
+/// those change.
+#[derive(Debug, Default)]
+pub struct Partials {
+    /// `[states, categories, patterns]` the buffers are sized for.
+    shape: [usize; 3],
+    buffers: Vec<Buffer>,
+    /// Buffer of each taxon's parent in the last scored tree.
+    taxon_parent: Vec<usize>,
+    /// Buffer of each buffer's parent in the last scored tree.
+    buffer_parent: Vec<usize>,
+    /// Buffers taken by the tree being scored.
+    claimed: Vec<bool>,
+    /// Buffer of each tree node (internal nodes only).
+    slot: Vec<usize>,
+    /// Internal nodes in postorder.
+    order: Vec<usize>,
+    stack: Vec<(usize, bool)>,
+    /// One tip's states across patterns.
+    tips: Vec<State>,
+    /// One branch's transition matrices, `ncat × ns²`.
+    pmats: Vec<f64>,
+    /// Scratch for transposing one matrix.
+    pmat: Vec<f64>,
+    /// Per-pattern sum of log scale factors.
+    logscale: Vec<f64>,
+}
+
+impl Partials {
+    /// An empty workspace; buffers are allocated on first use.
+    pub fn new() -> Partials {
+        Partials::default()
     }
-    .run(tree)
-}
 
-struct Evaluator<'a, M: SubstModel> {
-    patterns: &'a PatternSet,
-    model: &'a M,
-    rates: &'a SiteRates,
-    num_states: usize,
-}
+    /// Forget every stored partial (keeping the allocations). Required
+    /// whenever the pattern set, model or rates change.
+    pub fn reset(&mut self) {
+        for b in &mut self.buffers {
+            b.key = None;
+        }
+    }
 
-impl<M: SubstModel> Evaluator<'_, M> {
-    fn run(&self, tree: &Tree) -> Evaluation {
+    /// Log-likelihood of `tree` plus the work counter, reusing whatever
+    /// partials the last tree scored on this workspace shares with it.
+    ///
+    /// # Panics
+    /// Panics if the tree's taxon count does not match the pattern set.
+    pub fn evaluate<M: SubstModel>(
+        &mut self,
+        patterns: &PatternSet,
+        model: &M,
+        rates: &SiteRates,
+        tree: &Tree,
+    ) -> Evaluation {
         assert_eq!(
             tree.num_taxa(),
-            self.patterns.num_taxa(),
+            patterns.num_taxa(),
             "tree/alignment taxon count mismatch"
         );
-        let ns = self.num_states;
-        let ncat = self.rates.num_categories();
-        let npat = self.patterns.num_patterns();
-        let cats = self.rates.categories();
+        let ns = model.num_states();
+        let npat = patterns.num_patterns();
+        self.fit([ns, rates.num_categories(), npat], tree);
+        self.postorder(tree);
+        self.claim_reusable(tree);
+        self.compute_rest(patterns, model, rates, tree);
+
+        // Log scale factors, summed per pattern in postorder.
+        self.logscale.clear();
+        self.logscale.resize(npat, 0.0);
         let mut work: u64 = 0;
+        for &node in &self.order {
+            let buf = &self.buffers[self.slot[node]];
+            for &(p, ln) in &buf.scale {
+                self.logscale[p] += ln;
+            }
+            work += buf.cells;
+        }
+        self.record_parents(tree);
+        self.root_likelihood(patterns, model, rates, tree, work)
+    }
 
-        // partials[node] = Some(flat [cat][pattern][state]) for internal nodes.
-        let mut partials: Vec<Option<Vec<f64>>> = vec![None; tree.num_nodes()];
-        let mut logscale = vec![0.0f64; npat];
+    /// Size the tables for `tree` and the buffers for `shape`, dropping
+    /// every stored partial if either changed.
+    fn fit(&mut self, shape: [usize; 3], tree: &Tree) {
+        let internal = tree.num_nodes() - tree.num_taxa();
+        if self.shape != shape
+            || self.buffers.len() != internal
+            || self.taxon_parent.len() != tree.num_taxa()
+        {
+            self.shape = shape;
+            self.buffers.resize_with(internal, Buffer::default);
+            self.reset();
+            self.taxon_parent.clear();
+            self.taxon_parent.resize(tree.num_taxa(), NONE);
+            self.buffer_parent.clear();
+            self.buffer_parent.resize(internal, NONE);
+            self.claimed.resize(internal, false);
+        }
+        self.claimed.fill(false);
+        self.slot.clear();
+        self.slot.resize(tree.num_nodes(), NONE);
+        let [ns, ncat, _] = shape;
+        self.pmats.resize(ncat * ns * ns, 0.0);
+        self.pmat.resize(ns * ns, 0.0);
+    }
 
-        let order = tree.postorder();
-        for &node in &order {
-            if node == tree.root() || tree.is_leaf(node) {
+    /// Internal nodes in the order [`Tree::postorder`] lists them.
+    fn postorder(&mut self, tree: &Tree) {
+        tree.postorder_into(&mut self.order, &mut self.stack);
+        self.order.retain(|&node| !tree.is_leaf(node));
+    }
+
+    /// A child's part of its parent's key, if the child is a tip or an
+    /// already-slotted node.
+    fn child_ref(&self, tree: &Tree, child: usize) -> Option<(ChildRef, u64)> {
+        let r = match tree.node(child).taxon {
+            Some(t) => ChildRef::Taxon(t),
+            None => {
+                let id = self.slot[child];
+                if id == NONE {
+                    return None;
+                }
+                ChildRef::Buffer {
+                    id,
+                    generation: self.buffers[id].generation,
+                }
+            }
+        };
+        Some((r, tree.branch_length(child).to_bits()))
+    }
+
+    fn key(&self, tree: &Tree, node: usize) -> Option<Key> {
+        let [a, b] = binary_children(tree, node);
+        let (a, b) = (self.child_ref(tree, a)?, self.child_ref(tree, b)?);
+        Some(if a <= b { [a, b] } else { [b, a] })
+    }
+
+    /// Give every node whose subtree is unchanged since it was stored the
+    /// buffer holding it. Such a node's children are tips or reused nodes,
+    /// so its stored parent in the last tree is the only candidate.
+    fn claim_reusable(&mut self, tree: &Tree) {
+        for i in 0..self.order.len() {
+            let node = self.order[i];
+            let Some(key) = self.key(tree, node) else {
+                continue;
+            };
+            let candidate = match key[0].0 {
+                ChildRef::Taxon(t) => self.taxon_parent[t],
+                ChildRef::Buffer { id, .. } => self.buffer_parent[id],
+            };
+            if candidate != NONE
+                && !self.claimed[candidate]
+                && self.buffers[candidate].key == Some(key)
+            {
+                self.claimed[candidate] = true;
+                self.slot[node] = candidate;
+            }
+        }
+    }
+
+    /// Recompute, in postorder, every node left without a buffer, each into
+    /// the lowest buffer still free.
+    fn compute_rest<M: SubstModel>(
+        &mut self,
+        patterns: &PatternSet,
+        model: &M,
+        rates: &SiteRates,
+        tree: &Tree,
+    ) {
+        let [ns, ncat, npat] = self.shape;
+        let mut free = 0;
+        for i in 0..self.order.len() {
+            let node = self.order[i];
+            if self.slot[node] != NONE {
                 continue;
             }
-            let children = &tree.node(node).children;
-            let mut acc = vec![1.0f64; ncat * npat * ns];
-            for &child in children {
-                let bl = tree.branch_length(child);
-                // One transition matrix per rate category.
-                let pmats: Vec<Matrix> = cats
-                    .iter()
-                    .map(|&(r, _)| self.model.transition_matrix(bl * r))
-                    .collect();
+            while self.claimed[free] {
+                free += 1;
+            }
+            // Keyless until rewritten, so a panic midway leaves nothing to
+            // falsely reuse.
+            self.buffers[free].key = None;
+            let mut clv = std::mem::take(&mut self.buffers[free].clv);
+            clv.resize(ncat * npat * ns, 0.0);
+            let mut cells = 0;
+            for (n, child) in binary_children(tree, node).into_iter().enumerate() {
+                let first = n == 0;
+                let t = tree.branch_length(child);
                 match tree.node(child).taxon {
                     Some(taxon) => {
-                        work += self.combine_leaf_child(&mut acc, &pmats, taxon, ns, ncat, npat);
+                        self.tips.clear();
+                        self.tips
+                            .extend((0..npat).map(|p| patterns.state(p, taxon)));
+                        load_pmats(model, rates, t, ns, &mut self.pmats, Some(&mut self.pmat));
+                        cells += if first {
+                            tip_child::<true>(&mut clv, &self.pmats, &self.tips, ns)
+                        } else {
+                            tip_child::<false>(&mut clv, &self.pmats, &self.tips, ns)
+                        };
                     }
                     None => {
-                        let cp = partials[child]
-                            .as_ref()
-                            .expect("postorder guarantees child computed first");
-                        work += combine_internal_child(&mut acc, &pmats, cp, ns, ncat, npat);
+                        load_pmats(model, rates, t, ns, &mut self.pmats, None);
+                        let cp = &self.buffers[self.slot[child]].clv;
+                        cells += if first {
+                            inner_child::<true>(&mut clv, &self.pmats, cp, ns, npat)
+                        } else {
+                            inner_child::<false>(&mut clv, &self.pmats, cp, ns, npat)
+                        };
                     }
                 }
             }
-            // Per-pattern rescale across categories and states.
-            for (p, ls) in logscale.iter_mut().enumerate() {
-                let mut maxv = 0.0f64;
-                for k in 0..ncat {
-                    let base = (k * npat + p) * ns;
-                    for s in 0..ns {
-                        maxv = maxv.max(acc[base + s]);
-                    }
-                }
-                if maxv > 0.0 && maxv < 1e-30 {
-                    let inv = 1.0 / maxv;
-                    for k in 0..ncat {
-                        let base = (k * npat + p) * ns;
-                        for s in 0..ns {
-                            acc[base + s] *= inv;
-                        }
-                    }
-                    *ls += maxv.ln();
-                }
-            }
-            partials[node] = Some(acc);
+            let key = self.key(tree, node).expect("children are slotted first");
+            self.claimed[free] = true;
+            self.slot[node] = free;
+            let buf = &mut self.buffers[free];
+            rescale(&mut clv, &mut buf.scale, ns, npat);
+            buf.clv = clv;
+            buf.cells = cells;
+            buf.key = Some(key);
+            buf.generation += 1;
         }
+    }
 
-        // Root: a leaf (taxon 0) with a single child.
+    /// Remember each tip's and each buffer's parent in the tree just
+    /// scored: the lookup for the next evaluation's reuse.
+    fn record_parents(&mut self, tree: &Tree) {
+        for &node in &self.order {
+            let slot = self.slot[node];
+            for child in binary_children(tree, node) {
+                match tree.node(child).taxon {
+                    Some(t) => self.taxon_parent[t] = slot,
+                    None => self.buffer_parent[self.slot[child]] = slot,
+                }
+            }
+        }
+        let top = tree.node(tree.root()).children[0];
+        if !tree.is_leaf(top) {
+            self.buffer_parent[self.slot[top]] = NONE;
+        }
+    }
+
+    /// Combine the root leaf with its single child's partials across the
+    /// rate mixture; `work` is the internal nodes' cells.
+    fn root_likelihood<M: SubstModel>(
+        &mut self,
+        patterns: &PatternSet,
+        model: &M,
+        rates: &SiteRates,
+        tree: &Tree,
+        mut work: u64,
+    ) -> Evaluation {
+        let [ns, _, npat] = self.shape;
         let root = tree.root();
         let root_taxon = tree.node(root).taxon.expect("root is a leaf");
         let child = tree.node(root).children[0];
-        let bl = tree.branch_length(child);
-        let pmats: Vec<Matrix> = cats
-            .iter()
-            .map(|&(r, _)| self.model.transition_matrix(bl * r))
-            .collect();
-        let freqs = self.model.frequencies();
+        load_pmats(
+            model,
+            rates,
+            tree.branch_length(child),
+            ns,
+            &mut self.pmats,
+            None,
+        );
+        let freqs = model.frequencies();
+        let states = full_mask(ns);
+        let child_taxon = tree.node(child).taxon;
+        let cp: &[f64] = match child_taxon {
+            Some(_) => &[],
+            None => &self.buffers[self.slot[child]].clv,
+        };
 
         let mut lnl = 0.0f64;
-        for (p, &ls) in logscale.iter().enumerate() {
-            let root_state = self.patterns.state(p, root_taxon);
+        for (p, &ls) in self.logscale.iter().enumerate() {
+            let root_state = patterns.state(p, root_taxon).0 & states;
+            let child_state = child_taxon.map(|t| patterns.state(p, t).0 & states);
             let mut site_like = 0.0f64;
-            for (k, &(_, wk)) in cats.iter().enumerate() {
-                let pm = &pmats[k];
+            for (k, (pm, &(_, wk))) in self
+                .pmats
+                .chunks_exact(ns * ns)
+                .zip(rates.categories())
+                .enumerate()
+            {
                 let mut cat_like = 0.0f64;
-                for i in 0..ns {
-                    if !root_state.allows(i) {
-                        continue;
-                    }
+                for i in bits(root_state) {
+                    let row = &pm[i * ns..(i + 1) * ns];
                     // Σ_j P_ij · child_j
-                    let inner = match tree.node(child).taxon {
-                        Some(taxon) => {
-                            let cs = self.patterns.state(p, taxon);
-                            let mut acc = 0.0;
-                            for j in 0..ns {
-                                if cs.allows(j) {
-                                    acc += pm[(i, j)];
-                                }
-                            }
-                            work += ns as u64;
-                            acc
-                        }
+                    let inner = match child_state {
+                        Some(cs) => bits(cs).fold(0.0, |s, j| s + row[j]),
                         None => {
-                            let cp = partials[child].as_ref().unwrap();
                             let base = (k * npat + p) * ns;
-                            let mut acc = 0.0;
-                            for j in 0..ns {
-                                acc += pm[(i, j)] * cp[base + j];
-                            }
-                            work += ns as u64;
-                            acc
+                            dot(row, &cp[base..base + ns])
                         }
                     };
+                    work += ns as u64;
                     cat_like += freqs[i] * inner;
                 }
                 site_like += wk * cat_like;
@@ -240,77 +462,179 @@ impl<M: SubstModel> Evaluator<'_, M> {
                     work,
                 };
             }
-            lnl += self.patterns.weights()[p] * (site_like.ln() + ls);
+            lnl += patterns.weights()[p] * (site_like.ln() + ls);
         }
         Evaluation {
             log_likelihood: lnl,
             work,
         }
     }
+}
 
-    /// Multiply `acc` by the contribution of a leaf child (tip states let us
-    /// skip the disallowed columns of P). Returns cells computed.
-    fn combine_leaf_child(
-        &self,
-        acc: &mut [f64],
-        pmats: &[Matrix],
-        taxon: usize,
-        ns: usize,
-        ncat: usize,
-        npat: usize,
-    ) -> u64 {
-        let mut work = 0u64;
-        for (k, pm) in pmats.iter().enumerate().take(ncat) {
-            for p in 0..npat {
-                let tip: State = self.patterns.state(p, taxon);
-                let base = (k * npat + p) * ns;
-                if let Some(j) = tip.index() {
-                    // Resolved tip: inner product collapses to one column.
-                    for i in 0..ns {
-                        acc[base + i] *= pm[(i, j)];
-                    }
-                    work += ns as u64;
-                } else {
-                    for i in 0..ns {
-                        let mut s = 0.0;
-                        for j in 0..ns {
-                            if tip.allows(j) {
-                                s += pm[(i, j)];
-                            }
-                        }
-                        acc[base + i] *= s;
-                    }
-                    work += (ns * ns) as u64;
-                }
-            }
-        }
-        work
+/// The two children of an internal node.
+fn binary_children(tree: &Tree, node: usize) -> [usize; 2] {
+    match tree.node(node).children[..] {
+        [a, b] => [a, b],
+        _ => panic!("internal node {node} is not binary"),
     }
 }
 
-/// Multiply `acc` by the contribution of an internal child with partials
-/// `cp`. Returns cells computed.
-fn combine_internal_child(
-    acc: &mut [f64],
-    pmats: &[Matrix],
-    cp: &[f64],
+/// Bit mask of the first `ns` states.
+fn full_mask(ns: usize) -> u64 {
+    if ns >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << ns) - 1
+    }
+}
+
+/// The set bits of `mask`, lowest first.
+fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let j = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            j
+        })
+    })
+}
+
+/// `Σ_j a_j b_j`, summed left to right from zero.
+#[inline(always)]
+fn dot(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).fold(0.0, |s, (&x, &y)| s + x * y)
+}
+
+/// The first child of a node writes its factor; the second multiplies in.
+#[inline(always)]
+fn put<const FIRST: bool>(out: &mut f64, factor: f64) {
+    if FIRST {
+        *out = factor;
+    } else {
+        *out *= factor;
+    }
+}
+
+/// One branch's transition matrix per rate category into `out`, row-major,
+/// or transposed through `scratch` when given (a tip then reads the column
+/// of its state contiguously).
+fn load_pmats<M: SubstModel>(
+    model: &M,
+    rates: &SiteRates,
+    t: f64,
     ns: usize,
-    ncat: usize,
-    npat: usize,
-) -> u64 {
-    for (k, pm) in pmats.iter().enumerate().take(ncat) {
-        for p in 0..npat {
-            let base = (k * npat + p) * ns;
-            for i in 0..ns {
-                let mut s = 0.0;
-                for j in 0..ns {
-                    s += pm[(i, j)] * cp[base + j];
+    out: &mut [f64],
+    scratch: Option<&mut Vec<f64>>,
+) {
+    let mats = out.chunks_exact_mut(ns * ns).zip(rates.categories());
+    match scratch {
+        None => {
+            for (pm, &(r, _)) in mats {
+                model.transition_matrix_into(t * r, pm);
+            }
+        }
+        Some(tmp) => {
+            for (pt, &(r, _)) in mats {
+                model.transition_matrix_into(t * r, tmp);
+                for (i, row) in tmp.chunks_exact(ns).enumerate() {
+                    for (j, &x) in row.iter().enumerate() {
+                        pt[j * ns + i] = x;
+                    }
                 }
-                acc[base + i] *= s;
             }
         }
     }
-    (ncat * npat * ns * ns) as u64
+}
+
+/// Fold a tip child into `clv` through its transposed matrices `pts`.
+/// A resolved tip collapses `Σ_j P_ij · L_j` to one column of P; an
+/// ambiguous one sums the allowed columns. Returns cells computed.
+fn tip_child<const FIRST: bool>(clv: &mut [f64], pts: &[f64], tips: &[State], ns: usize) -> u64 {
+    let states = full_mask(ns);
+    let mut cells = 0;
+    for (cat, pt) in clv
+        .chunks_exact_mut(tips.len() * ns)
+        .zip(pts.chunks_exact(ns * ns))
+    {
+        for (out, &tip) in cat.chunks_exact_mut(ns).zip(tips) {
+            match tip.index() {
+                Some(j) => {
+                    for (o, &x) in out.iter_mut().zip(&pt[j * ns..(j + 1) * ns]) {
+                        put::<FIRST>(o, x);
+                    }
+                    cells += ns;
+                }
+                None => {
+                    for (i, o) in out.iter_mut().enumerate() {
+                        let s = bits(tip.0 & states).fold(0.0, |s, j| s + pt[j * ns + i]);
+                        put::<FIRST>(o, s);
+                    }
+                    cells += ns * ns;
+                }
+            }
+        }
+    }
+    cells as u64
+}
+
+/// Fold an internal child with partials `cp` into `clv` through its
+/// row-major matrices `pms`. Returns cells computed.
+fn inner_child<const FIRST: bool>(
+    clv: &mut [f64],
+    pms: &[f64],
+    cp: &[f64],
+    ns: usize,
+    npat: usize,
+) -> u64 {
+    let cat_len = npat * ns;
+    for ((cat, child), pm) in clv
+        .chunks_exact_mut(cat_len)
+        .zip(cp.chunks_exact(cat_len))
+        .zip(pms.chunks_exact(ns * ns))
+    {
+        if let Ok(pm) = <&[f64; 16]>::try_from(pm) {
+            // Nucleotides: the 4×4 matrix stays in registers.
+            for (out, c) in cat.chunks_exact_mut(4).zip(child.chunks_exact(4)) {
+                let (c0, c1, c2, c3) = (c[0], c[1], c[2], c[3]);
+                for (i, o) in out.iter_mut().enumerate() {
+                    let r = &pm[4 * i..4 * i + 4];
+                    put::<FIRST>(o, 0.0 + r[0] * c0 + r[1] * c1 + r[2] * c2 + r[3] * c3);
+                }
+            }
+        } else {
+            for (out, c) in cat.chunks_exact_mut(ns).zip(child.chunks_exact(ns)) {
+                for (o, row) in out.iter_mut().zip(pm.chunks_exact(ns)) {
+                    put::<FIRST>(o, dot(row, c));
+                }
+            }
+        }
+    }
+    (clv.len() * ns) as u64
+}
+
+/// Rescale every pattern whose largest partial (across categories and
+/// states) underflows toward zero, recording `(pattern, ln factor)`.
+fn rescale(clv: &mut [f64], scale: &mut Vec<(usize, f64)>, ns: usize, npat: usize) {
+    scale.clear();
+    let cat_len = npat * ns;
+    for p in 0..npat {
+        let rows = (p * ns..clv.len()).step_by(cat_len);
+        let mut maxv = 0.0f64;
+        for base in rows.clone() {
+            for &x in &clv[base..base + ns] {
+                maxv = maxv.max(x);
+            }
+        }
+        if maxv > 0.0 && maxv < RESCALE_BELOW {
+            let inv = 1.0 / maxv;
+            for base in rows {
+                for x in &mut clv[base..base + ns] {
+                    *x *= inv;
+                }
+            }
+            scale.push((p, maxv.ln()));
+        }
+    }
 }
 
 #[cfg(test)]
@@ -512,6 +836,42 @@ mod tests {
         let lnl = LikelihoodEngine::new(&aln, &model, SiteRates::uniform()).log_likelihood(&tree);
         assert!(lnl.is_finite(), "scaling must prevent underflow, got {lnl}");
         assert!(lnl < -100.0);
+    }
+
+    #[test]
+    fn reused_partials_carry_their_scale_factors() {
+        let mut rng = simkit::SimRng::new(15);
+        let mut tree = Tree::caterpillar(60, 0.4);
+        let model = NucModel::jc69();
+        let aln = crate::simulate::Simulator::new(&model, SiteRates::uniform())
+            .simulate(&tree, 50, &mut rng);
+        let patterns = PatternSet::compress(&aln);
+        let rates = SiteRates::gamma(4, 0.5);
+        let mut ws = Partials::new();
+        ws.evaluate(&patterns, &model, &rates, &tree);
+        assert!(
+            ws.buffers.iter().any(|b| !b.scale.is_empty()),
+            "the caterpillar must rescale"
+        );
+        // Taxon 1 hangs off the root's child: changing its branch leaves
+        // every deeper, rescaled node reusable.
+        let leaf = tree.leaf_node(1);
+        tree.set_branch_length(leaf, 0.3);
+        let generations: Vec<u64> = ws.buffers.iter().map(|b| b.generation).collect();
+        let reused = ws.evaluate(&patterns, &model, &rates, &tree);
+        let recomputed = ws
+            .buffers
+            .iter()
+            .zip(&generations)
+            .filter(|(b, &g)| b.generation != g)
+            .count();
+        assert_eq!(recomputed, 1, "only the leaf's parent is recomputed");
+        let fresh = evaluate_patterns(&patterns, &model, &rates, &tree);
+        assert_eq!(
+            reused.log_likelihood.to_bits(),
+            fresh.log_likelihood.to_bits()
+        );
+        assert_eq!(reused.work, fresh.work);
     }
 
     #[test]

@@ -47,6 +47,11 @@ impl Matrix {
         self.n
     }
 
+    /// The entries, row-major.
+    pub fn as_slice(&self) -> &[f64] {
+        &self.data
+    }
+
     /// Matrix product `self * other`.
     ///
     /// # Panics

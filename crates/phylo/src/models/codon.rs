@@ -99,6 +99,9 @@ impl SubstModel for CodonModel {
     fn transition_matrix(&self, t: f64) -> Matrix {
         self.inner.transition_matrix(t)
     }
+    fn transition_matrix_into(&self, t: f64, out: &mut [f64]) {
+        self.inner.transition_matrix_into(t, out)
+    }
     fn name(&self) -> &str {
         &self.name
     }

@@ -46,6 +46,11 @@ pub trait SubstModel {
     /// (expected substitutions per site).
     fn transition_matrix(&self, t: f64) -> Matrix;
 
+    /// `P(t)` written row-major into `out` (`num_states²` entries): the
+    /// likelihood kernel's form, which copies a memoized matrix out
+    /// without allocating.
+    fn transition_matrix_into(&self, t: f64, out: &mut [f64]);
+
     /// Short human-readable name (e.g. `"GTR"`).
     fn name(&self) -> &str;
 }
@@ -156,20 +161,30 @@ impl ReversibleModel {
     /// `P(t) = D^{-1/2} V e^{Λt} Vᵀ D^{1/2}`, entries clamped to `[0, 1]`,
     /// memoized per branch length.
     pub fn transition_matrix(&self, t: f64) -> Matrix {
+        self.with_transition_matrix(t, Matrix::clone)
+    }
+
+    /// [`ReversibleModel::transition_matrix`] copied row-major into `out`,
+    /// without allocating on a memoized length.
+    pub fn transition_matrix_into(&self, t: f64, out: &mut [f64]) {
+        self.with_transition_matrix(t, |p| out.copy_from_slice(p.as_slice()))
+    }
+
+    /// Apply `f` to the memoized `P(t)`, computing and caching it first if
+    /// needed.
+    fn with_transition_matrix<R>(&self, t: f64, f: impl FnOnce(&Matrix) -> R) -> R {
         assert!(t.is_finite() && t >= 0.0, "invalid branch length {t}");
-        {
-            let cache = self.cache.lock();
-            if let Some(p) = cache.get(&t.to_bits()) {
-                return p.clone();
-            }
+        if let Some(p) = self.cache.lock().get(&t.to_bits()) {
+            return f(p);
         }
         let p = self.compute_transition_matrix(t);
+        let out = f(&p);
         let mut cache = self.cache.lock();
         if cache.len() >= 4096 {
             cache.clear(); // bounded memory; searches revisit few lengths
         }
-        cache.insert(t.to_bits(), p.clone());
-        p
+        cache.insert(t.to_bits(), p);
+        out
     }
 
     fn compute_transition_matrix(&self, t: f64) -> Matrix {

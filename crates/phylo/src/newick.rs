@@ -79,6 +79,12 @@ pub enum NewickError {
     },
     /// The tree is not binary (after root normalization).
     NotBinary,
+    /// A branch length that is negative or not finite (including the sum
+    /// of the two root edges a rooted tree merges into one).
+    InvalidBranchLength {
+        /// The offending length.
+        length: f64,
+    },
 }
 
 impl std::fmt::Display for NewickError {
@@ -90,6 +96,9 @@ impl std::fmt::Display for NewickError {
             NewickError::UnknownTaxon { name } => write!(f, "unknown taxon {name:?}"),
             NewickError::TaxonMismatch { message } => write!(f, "taxon mismatch: {message}"),
             NewickError::NotBinary => write!(f, "tree is not binary"),
+            NewickError::InvalidBranchLength { length } => {
+                write!(f, "invalid branch length {length}")
+            }
         }
     }
 }
@@ -185,6 +194,9 @@ pub fn parse_newick(newick: &str, taxon_names: &[&str]) -> Result<Tree, NewickEr
         return Err(NewickError::TaxonMismatch {
             message: format!("taxa absent from tree: {missing:?}"),
         });
+    }
+    if let Some(&(_, _, length)) = edges.iter().find(|e| !(e.2.is_finite() && e.2 >= 0.0)) {
+        return Err(NewickError::InvalidBranchLength { length });
     }
     Ok(Tree::from_edges(n, &edges))
 }
@@ -403,6 +415,24 @@ mod tests {
     fn missing_branch_lengths_default_to_zero() {
         let t = parse_newick("(a,b,c);", &["a", "b", "c"]).unwrap();
         assert_eq!(t.tree_length(), 0.0);
+    }
+
+    #[test]
+    fn invalid_branch_lengths_are_typed_errors() {
+        let nm = ["a", "b", "c"];
+        for (nwk, bad) in [
+            ("(a:1e999,b:0.1,c:0.1);", f64::INFINITY),
+            ("(a:-0.5,b:0.1,c:0.1);", -0.5),
+            // Each length is finite; the merged root edge is not.
+            ("((a:1,b:1):1e308,c:1e308);", f64::INFINITY),
+        ] {
+            match parse_newick(nwk, &nm) {
+                Err(NewickError::InvalidBranchLength { length }) => {
+                    assert_eq!(length, bad, "{nwk}")
+                }
+                other => panic!("{nwk}: expected InvalidBranchLength, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -280,7 +280,16 @@ impl Tree {
     /// Postorder traversal (children before parents), ending at the root.
     pub fn postorder(&self) -> Vec<usize> {
         let mut order = Vec::with_capacity(self.nodes.len());
-        let mut stack = vec![(self.root, false)];
+        self.postorder_into(&mut order, &mut Vec::new());
+        order
+    }
+
+    /// [`Tree::postorder`] into caller-owned buffers (cleared first), so a
+    /// loop that walks many trees allocates nothing.
+    pub fn postorder_into(&self, order: &mut Vec<usize>, stack: &mut Vec<(usize, bool)>) {
+        order.clear();
+        stack.clear();
+        stack.push((self.root, false));
         while let Some((node, expanded)) = stack.pop() {
             if expanded {
                 order.push(node);
@@ -291,7 +300,6 @@ impl Tree {
                 }
             }
         }
-        order
     }
 
     /// Taxa in the subtree rooted at `node` (inclusive).
