@@ -296,9 +296,7 @@ pub struct BoincSim {
     // --- Feeder index: derived state, never serialized (rebuilt on restore
     // and therefore invisible to snapshot byte-identity comparisons). ---
     /// Clients that are available, untasked, and not mid-RPC — exactly the
-    /// set the matchmaker hands work to. Ordered ascending so the indexed
-    /// path visits candidates in the same low-index-first order the legacy
-    /// full scan did.
+    /// set the matchmaker hands work to, visited in ascending client order.
     idle: BTreeSet<usize>,
     /// Clients with `available && task.is_none()` (the MDS "free slots"
     /// signal; unlike `idle` it includes clients mid-RPC).
@@ -317,10 +315,6 @@ pub struct BoincSim {
     sorted_speeds: Vec<f64>,
     /// Sum of client speed factors.
     speed_sum: f64,
-    /// Route `assign_work` through the legacy full client scan instead of
-    /// the idle index (perf-comparison escape hatch; not serialized, both
-    /// paths are decision-identical).
-    legacy_scan: bool,
 }
 
 impl BoincSim {
@@ -395,7 +389,6 @@ impl BoincSim {
             reissues_completed: 0,
             sorted_speeds: Vec::new(),
             speed_sum: 0.0,
-            legacy_scan: false,
         };
         sim.rebuild_derived();
         sim
@@ -609,16 +602,6 @@ impl BoincSim {
         self.reissues_total
     }
 
-    /// Route matchmaking through the legacy full client scan (`true`) or
-    /// the idle-set index (`false`, the default). The two are
-    /// decision-identical — same assignments, same event stream — so this
-    /// only exists to measure the index's speedup and to differential-test
-    /// it. The flag is not serialized: a restored sim always starts on the
-    /// default path.
-    pub fn set_legacy_scan(&mut self, legacy: bool) {
-        self.legacy_scan = legacy;
-    }
-
     /// The grid job behind a workunit assignment, if the assignment is
     /// still known (telemetry links deadline reissues into the job's
     /// causal trace).
@@ -665,45 +648,12 @@ impl BoincSim {
     /// Hand queued copies to available idle clients (after the scheduler
     /// RPC delay).
     ///
-    /// The default path walks the feeder's idle index — cost proportional to
-    /// the number of idle hosts, not the pool size. The index iterates
-    /// ascending and holds exactly the clients the legacy full scan would
-    /// have picked (available, untasked, not mid-RPC), so both paths
-    /// schedule identical `BoincAssign` events in identical order;
-    /// reputation-blacklisted hosts stay in the index (their status is
-    /// threshold-derived and can change) and are skipped per call, exactly
-    /// like the legacy `continue`.
+    /// Walks the feeder's idle index in ascending client order — cost
+    /// proportional to the number of idle hosts, not the pool size.
+    /// Reputation-blacklisted hosts stay in the index (their status is
+    /// threshold-derived and can change) and are skipped per call.
     fn assign_work(&mut self, now: SimTime, cal: &mut Calendar<GridEvent>) {
-        if self.queue.is_empty() {
-            return;
-        }
-        if self.legacy_scan {
-            for i in 0..self.clients.len() {
-                if self.queue.is_empty() {
-                    break;
-                }
-                // Reputation blacklist: hosts whose record crossed the error
-                // threshold stop receiving work entirely.
-                if self
-                    .validation
-                    .as_ref()
-                    .is_some_and(|v| v.engine.is_blacklisted(i))
-                {
-                    continue;
-                }
-                let c = &mut self.clients[i];
-                if c.available && c.task.is_none() && !c.fetching {
-                    c.fetching = true;
-                    self.idle.remove(&i);
-                    cal.schedule(
-                        now + self.config.work_fetch_delay,
-                        GridEvent::BoincAssign { client: i },
-                    );
-                }
-            }
-            return;
-        }
-        if self.idle.is_empty() {
+        if self.queue.is_empty() || self.idle.is_empty() {
             return;
         }
         let candidates: Vec<usize> = self.idle.iter().copied().collect();
@@ -1165,9 +1115,8 @@ pub struct FlipInfo {
 // — byte-identical to the sorted-`HashMap` renderings they replaced.
 // Client task records carry their `done` [`EventHandle`]s verbatim; they
 // stay valid because the grid calendar snapshots its handle space intact.
-// Feeder-index state (idle set, counters, speed cache, the legacy-scan
-// flag) is derived, so it is *not* serialized: snapshots from the indexed
-// and legacy paths stay byte-comparable, and restore rebuilds it.
+// Feeder-index state (idle set, counters, speed cache) is derived, so it
+// is *not* serialized: restore rebuilds it.
 impl Serialize for BoincSim {
     fn to_value(&self) -> Value {
         let queue: Vec<JobId> = self.queue.iter().copied().collect();
@@ -1215,8 +1164,15 @@ impl Deserialize for BoincSim {
             .as_map()
             .ok_or_else(|| serde::Error::custom("expected map for BoincSim"))?;
         let queue: Vec<JobId> = serde::field(fields, "queue")?;
+        // A checksum-valid snapshot can still carry a config the event loop
+        // cannot run (a zero availability mean panics at the next flip), so
+        // restore applies the same check as construction.
+        let config: BoincConfig = serde::field(fields, "config")?;
+        config
+            .validate()
+            .map_err(|e| serde::Error::custom(format!("invalid BoincConfig: {e}")))?;
         let mut sim = BoincSim {
-            config: serde::field(fields, "config")?,
+            config,
             clients: serde::field(fields, "clients")?,
             queue: queue.into_iter().collect(),
             workunits: serde::field(fields, "workunits")?,
@@ -1241,7 +1197,6 @@ impl Deserialize for BoincSim {
             reissues_completed: 0,
             sorted_speeds: Vec::new(),
             speed_sum: 0.0,
-            legacy_scan: false,
         };
         sim.rebuild_derived();
         Ok(sim)
@@ -1335,6 +1290,95 @@ mod tests {
             }
         }
         outcomes
+    }
+
+    /// The feeder's derived state: idle set and counters.
+    fn derived(b: &BoincSim) -> (Vec<usize>, [usize; 3], [u32; 2], Vec<u64>) {
+        (
+            b.idle.iter().copied().collect(),
+            [b.free_clients, b.active, b.unfinished],
+            [b.reissues_total, b.reissues_completed],
+            b.sorted_speeds.iter().map(|s| s.to_bits()).collect(),
+        )
+    }
+
+    /// The incremental idle index and counters must equal a from-scratch
+    /// [`BoincSim::rebuild_derived`] after every event: that is what makes
+    /// walking the idle set hand out work exactly as a scan over every
+    /// client would. Churny hosts, abandonment, short deadlines (reissues),
+    /// quorum 2, waves of work, and — in the validated arm — reputation
+    /// blacklisting all move clients in and out of the set.
+    #[test]
+    fn idle_index_matches_a_rebuild_after_every_event() {
+        for validated in [false, true] {
+            let mut cal = Calendar::new();
+            let config = BoincConfig {
+                num_clients: 40,
+                mean_on_hours: 3.0,
+                mean_off_hours: 2.0,
+                abandon_probability: 0.2,
+                deadline: DeadlinePolicy::Fixed(SimDuration::from_hours(6)),
+                quorum: 2,
+                // Long scheduler RPCs, so hosts also flip mid-fetch.
+                work_fetch_delay: SimDuration::from_mins(30),
+                ..BoincConfig::default()
+            };
+            let mut boinc = BoincSim::new(config, SimRng::new(29), &mut cal);
+            if validated {
+                boinc.enable_validation(ValidationConfig::default(), SimRng::new(31));
+                boinc.set_malicious_fraction(0.25);
+            }
+            let mut next_job = 0u64;
+            let mut wave = |boinc: &mut BoincSim, cal: &mut Calendar<GridEvent>, now| {
+                for _ in 0..30 {
+                    let secs = 1800.0 + 600.0 * (next_job % 7) as f64;
+                    boinc.enqueue(JobSpec::simple(next_job, secs), now, cal);
+                    next_job += 1;
+                }
+            };
+            wave(&mut boinc, &mut cal, SimTime::ZERO);
+            let mut next_wave = SimTime::from_hours(8);
+            let mut events = 0;
+            while let Some((t, ev)) = cal.pop() {
+                if t > SimTime::from_days(4) {
+                    break;
+                }
+                if t >= next_wave {
+                    wave(&mut boinc, &mut cal, t);
+                    next_wave = t + SimDuration::from_hours(8);
+                }
+                match ev {
+                    GridEvent::BoincAssign { client } => {
+                        boinc.on_assign(client, None, t, &mut cal);
+                    }
+                    GridEvent::BoincClientDone { client, assignment } => {
+                        boinc.on_client_done(client, assignment, t, &mut cal);
+                    }
+                    GridEvent::BoincDeadline { assignment } => {
+                        boinc.on_deadline(assignment, t, &mut cal);
+                    }
+                    GridEvent::BoincFlip { client } => {
+                        boinc.on_flip(client, t, &mut cal);
+                    }
+                    _ => continue,
+                }
+                events += 1;
+                let incremental = derived(&boinc);
+                boinc.rebuild_derived();
+                assert_eq!(
+                    incremental,
+                    derived(&boinc),
+                    "derived state drifted at event {events} (t = {t:?}, validated = {validated})"
+                );
+            }
+            assert!(events > 1_000, "too few events to exercise the index");
+            assert!(boinc.total_reissues() > 0, "no deadline reissue happened");
+            assert_eq!(
+                (0..40).any(|i| boinc.host_blacklisted(i)),
+                validated,
+                "the validated arm should blacklist a malicious host"
+            );
+        }
     }
 
     #[test]

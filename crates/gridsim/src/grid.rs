@@ -18,9 +18,7 @@ use crate::lrm::{LrmOutcome, LrmSim};
 use crate::mds::Mds;
 use crate::recovery::RecoveryPolicy;
 use crate::resource::{ResourceId, ResourceKind, ResourceSpec};
-use crate::scheduler::{
-    choose_resource, choose_resource_explained, matches, score, ResourceView, SchedulerPolicy,
-};
+use crate::scheduler::{choose_in_table, ResourceView, SchedulerPolicy};
 use crate::speed::{benchmark_machines, speed_from_benchmarks};
 use crate::stability::{ResourceHealth, StabilityTracker};
 use crate::telemetry::{GridTelemetry, TelemetryConfig, TelemetrySnapshot};
@@ -338,12 +336,8 @@ pub struct GridWorld {
     /// restored grid simply restarts profiling from zero.
     profiler: Option<simkit::profile::Profiler>,
     /// Feeder-style capability-class index over the (fixed) resource list.
-    /// Derived state: never serialized, rebuilt from `resources` on restore,
-    /// so legacy-scan and indexed grids snapshot to identical bytes.
+    /// Derived state: never serialized, rebuilt from `resources` on restore.
     index: DispatchIndex,
-    /// Route matchmaking through the pre-index full scan. Not serialized;
-    /// exists so differential tests and the E17 bench can run both paths.
-    legacy_matchmaker: bool,
 }
 
 impl GridWorld {
@@ -450,13 +444,6 @@ impl GridWorld {
             }
             views.push(entry);
         }
-        // The explained (telemetry) path must enumerate *every* candidate to
-        // record per-resource reject reasons, so it keeps the full scan; the
-        // indexed fast path is the default otherwise. Both paths rank the
-        // same eligible set with the same score and tie-break, so decisions
-        // and event streams are bit-identical (see `crate::index` docs and
-        // the differential tests).
-        let use_legacy = self.legacy_matchmaker || self.telemetry.is_some();
         // DAG-aware hint layer: reorder the backlog by stage slack so
         // critical-path stages dispatch first. The sort is stable, so FIFO
         // order still breaks ties, and jobs outside any campaign sort last
@@ -473,84 +460,42 @@ impl GridWorld {
                 self.pending = jobs.into();
             }
         }
-        let aware = self.data.as_ref().is_some_and(|d| d.aware());
+        // One matchmaker (`choose_in_table`): it walks the job's capability
+        // class from the feeder index, or every resource when telemetry is on
+        // so each candidate's reject reason can be counted. Resources outside
+        // the class always fail `matches`, so observing a grid never changes
+        // its placements.
+        let every_id: Vec<usize> = match self.telemetry {
+            Some(_) => (0..views.len()).collect(),
+            None => Vec::new(),
+        };
         let now_s = now.as_secs_f64();
         let policy = self.config.policy;
         let mut still_pending = VecDeque::new();
         while let Some(job_id) = self.pending.pop_front() {
-            let chosen: Option<usize> = if use_legacy {
-                let spec = self.records[&job_id].spec.clone();
-                let excluded = self.failed_on.get(&job_id);
-                let mut eligible: Vec<ResourceView> = views
-                    .iter()
-                    .flatten()
-                    .filter(|v| excluded.is_none_or(|ex| !ex.contains(&v.id.0)))
-                    .cloned()
-                    .collect();
-                // Data-aware scheduling: fill the stage-in estimate on every
-                // candidate *before* choosing, so the plain and explained
-                // paths rank identical inputs. Blind mode leaves the field
-                // `None` and the ranking is exactly the paper's original.
-                if aware {
-                    let d = self.data.as_ref().expect("data plane present");
-                    for v in &mut eligible {
-                        v.stage_in_seconds = Some(d.estimate_stage_in(v.id.0, &spec, now_s));
-                    }
-                }
-                // The explained path runs the identical filter/score/
-                // tie-break (asserted in scheduler tests), so enabling
-                // telemetry cannot change placement.
-                let chosen = match self.telemetry.as_mut() {
-                    Some(t) => {
-                        let decision = choose_resource_explained(&spec, &eligible, &policy);
-                        t.on_decision(now, job_id, &decision);
-                        decision.chosen
-                    }
-                    None => choose_resource(&spec, &eligible, &policy),
-                };
-                chosen.map(|ResourceId(r)| r)
-            } else {
-                // Indexed fast path: walk only the statically-eligible
-                // capability class, re-running the full `matches` filter on
-                // each member (dynamic checks: slots, stability, stage-in),
-                // then rank with the same (score, speed desc, id asc) order
-                // `choose_resource` uses. Ids are unique, so the order is
-                // total and the minimum matches `min_by` bit-for-bit.
-                let spec = &self.records[&job_id].spec;
-                let excluded = self.failed_on.get(&job_id);
-                let mut best: Option<(f64, f64, usize)> = None;
-                for &r in self.index.eligible(spec) {
-                    if excluded.is_some_and(|ex| ex.contains(&r)) {
-                        continue;
-                    }
-                    let Some(v) = views[r].as_mut() else {
-                        continue;
-                    };
-                    if aware {
-                        let d = self.data.as_ref().expect("data plane present");
-                        v.stage_in_seconds = Some(d.estimate_stage_in(r, spec, now_s));
-                    }
-                    if matches(spec, v, &policy).is_err() {
-                        continue;
-                    }
-                    let s = score(v, &policy);
-                    let better = match best {
-                        None => true,
-                        Some((bs, bspeed, bid)) => {
-                            s < bs
-                                || (s == bs
-                                    && (v.measured_speed > bspeed
-                                        || (v.measured_speed == bspeed && r < bid)))
-                        }
-                    };
-                    if better {
-                        best = Some((s, v.measured_speed, r));
-                    }
-                }
-                best.map(|(_, _, r)| r)
+            let spec = &self.records[&job_id].spec;
+            let data = self.data.as_ref().filter(|d| d.aware());
+            let ids = match self.telemetry {
+                Some(_) => &every_id,
+                None => self.index.eligible(spec),
             };
-            match chosen {
-                Some(r) => {
+            // Data-aware scheduling fills the stage-in estimate on every
+            // walked candidate before it is filtered and ranked; blind mode
+            // leaves it `None` and the ranking is exactly the paper's.
+            let stage_in = data.map(|d| move |r| d.estimate_stage_in(r, spec, now_s));
+            let decision = choose_in_table(
+                spec,
+                ids,
+                &mut views,
+                self.failed_on.get(&job_id),
+                stage_in,
+                &policy,
+            );
+            if let Some(t) = self.telemetry.as_mut() {
+                t.on_decision(now, job_id, &decision);
+            }
+            match decision.chosen {
+                Some(ResourceId(r)) => {
                     let spec = self.records[&job_id].spec.clone();
                     self.dispatch(spec, r, now, cal);
                     // Update the view's load so one pass doesn't dump every
@@ -1193,7 +1138,6 @@ impl Deserialize for GridWorld {
             // Derived matchmaking state: rebuilt from the restored resource
             // list, never part of the snapshot bytes.
             index: DispatchIndex::new(&resources),
-            legacy_matchmaker: false,
             resources,
             lrms: serde::field(fields, "lrms")?,
             boinc: serde::field(fields, "boinc")?,
@@ -1609,7 +1553,6 @@ impl Grid {
                 .map(|tc| tenancy::TenantBook::new(&tc)),
             flow: config.flow.map(flow::FlowBook::new),
             index: DispatchIndex::new(&resources),
-            legacy_matchmaker: false,
             resources,
             lrms,
             boinc,
@@ -1730,20 +1673,6 @@ impl Grid {
     pub fn set_telemetry_gauge(&mut self, name: &str, value: f64) {
         if let Some(t) = self.sim.world_mut().telemetry.as_mut() {
             t.set_gauge(name, value);
-        }
-    }
-
-    /// Route matchmaking through the pre-index full scan (both the grid
-    /// matchmaker and the BOINC pool's host scan). The flag is derived
-    /// state — never serialized, reset to the indexed default on restore —
-    /// and both paths are decision-identical, so flipping it cannot change
-    /// any simulation outcome; it exists for differential tests and the E17
-    /// before/after throughput comparison.
-    pub fn set_legacy_scan_path(&mut self, legacy: bool) {
-        let world = self.sim.world_mut();
-        world.legacy_matchmaker = legacy;
-        if let Some(b) = world.boinc.as_mut() {
-            b.set_legacy_scan(legacy);
         }
     }
 
@@ -2930,6 +2859,51 @@ mod tests {
                 fingerprint(&reference),
                 "divergence after restoring at event #{steps}"
             );
+        }
+    }
+
+    /// Set every map entry named `key`, at any depth, to `to`.
+    fn overwrite_key(value: &mut Value, key: &str, to: &Value) -> usize {
+        match value {
+            Value::Map(entries) => entries
+                .iter_mut()
+                .map(|(k, v)| {
+                    if k == key {
+                        *v = to.clone();
+                        1
+                    } else {
+                        overwrite_key(v, key, to)
+                    }
+                })
+                .sum(),
+            Value::Seq(items) => items.iter_mut().map(|v| overwrite_key(v, key, to)).sum(),
+            _ => 0,
+        }
+    }
+
+    #[test]
+    fn restore_rejects_a_boinc_config_the_event_loop_cannot_run() {
+        use simkit::snapshot::{decode_value, encode};
+        use simkit::{Snapshot, SnapshotError};
+        // A checksum-valid snapshot whose volunteer pool has a zero mean
+        // on-time used to restore fine and then panic at the next
+        // availability flip; restore now returns a typed error instead.
+        let mut grid = chaos_grid(54);
+        grid.run_until(SimTime::from_hours(2));
+        let mut state = decode_value(&grid.to_snapshot()).expect("fresh snapshot decodes");
+        assert!(overwrite_key(&mut state, "mean_on_hours", &Value::F64(0.0)) > 0);
+        match Grid::from_snapshot(&encode(&state)) {
+            Err(SnapshotError::Corrupt(msg)) => {
+                assert!(
+                    msg.contains("invalid BoincConfig"),
+                    "unexpected error: {msg}"
+                )
+            }
+            Err(other) => panic!("expected a corrupt-snapshot error, got {other:?}"),
+            Ok(mut restored) => {
+                restored.run_until(SimTime::from_days(5));
+                panic!("a pool with a zero mean on-time restored without error");
+            }
         }
     }
 }

@@ -14,9 +14,10 @@
 //! never drop a resource that [`crate::scheduler::matches`] would accept —
 //! and the dispatch fast path still runs the full `matches` filter on every
 //! class member (dynamic state: MDS liveness, blacklist, slot counts,
-//! stability downgrades, stage-in estimates). The indexed path therefore
-//! ranks exactly the set of resources the legacy full scan ranks, with the
-//! same scores and the same tie-break, so decisions are bit-identical. Where
+//! stability downgrades, stage-in estimates). A walk over the class
+//! therefore ranks exactly the set of resources a full scan would rank,
+//! with the same scores and the same tie-break
+//! ([`crate::scheduler::choose_in_table`]), so decisions are bit-identical. Where
 //! a mask is coarse (the software-bit overflow bucket), the class is a
 //! *superset* and the residual `matches` call restores exactness.
 //!

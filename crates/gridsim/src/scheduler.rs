@@ -17,6 +17,8 @@ use crate::platform::{compatible, Platform};
 use crate::resource::{ResourceId, ResourceSpec};
 use serde::{Deserialize, Serialize};
 use simkit::SimDuration;
+use std::cmp::Ordering;
+use std::collections::HashSet;
 
 /// Tunable scheduler behaviour (the paper's production values are the
 /// defaults; the ablation experiments flip the booleans).
@@ -113,6 +115,16 @@ pub enum RejectReason {
 }
 
 impl RejectReason {
+    /// Every reason, in filter order; `reason as usize` indexes this array
+    /// (and [`DecisionTally::rejects`]).
+    pub const ALL: [RejectReason; 5] = [
+        RejectReason::Platform,
+        RejectReason::Memory,
+        RejectReason::Mpi,
+        RejectReason::Software,
+        RejectReason::Stability,
+    ];
+
     /// Stable lowercase label, used as a metrics-key suffix
     /// (`scheduler.reject.<label>`).
     pub fn label(self) -> &'static str {
@@ -190,8 +202,21 @@ pub fn score(view: &ResourceView, policy: &SchedulerPolicy) -> f64 {
     contention + view.stage_in_seconds.unwrap_or(0.0) / STAGE_IN_RANK_SECONDS
 }
 
-/// Full scheduling decision: filter, then rank. Deterministic tie-breaking
-/// by higher speed, then lower id.
+/// The ranking order every matchmaker uses on eligible views, each keyed
+/// `(score, measured speed, id)`: lower score first, then higher speed, then
+/// lower id. Ids are unique, so the order is total.
+pub fn rank_order(a: (f64, f64, ResourceId), b: (f64, f64, ResourceId)) -> Ordering {
+    a.0.partial_cmp(&b.0)
+        .unwrap()
+        .then(b.1.partial_cmp(&a.1).unwrap())
+        .then(a.2.cmp(&b.2))
+}
+
+fn rank_key(view: &ResourceView, policy: &SchedulerPolicy) -> (f64, f64, ResourceId) {
+    (score(view, policy), view.measured_speed, view.id)
+}
+
+/// Full scheduling decision: filter, then rank by [`rank_order`].
 pub fn choose_resource(
     job: &JobSpec,
     views: &[ResourceView],
@@ -200,14 +225,72 @@ pub fn choose_resource(
     views
         .iter()
         .filter(|v| matches(job, v, policy).is_ok())
-        .min_by(|a, b| {
-            score(a, policy)
-                .partial_cmp(&score(b, policy))
-                .unwrap()
-                .then(b.measured_speed.partial_cmp(&a.measured_speed).unwrap())
-                .then(a.id.cmp(&b.id))
-        })
+        .min_by(|a, b| rank_order(rank_key(a, policy), rank_key(b, policy)))
         .map(|v| v.id)
+}
+
+/// What one walk of the matchmaker saw, counted while it ranks: enough for
+/// telemetry's `scheduler.decision` event and `scheduler.reject.*`
+/// counters without a per-candidate record.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct DecisionTally {
+    /// The winning resource, if any candidate was eligible.
+    pub chosen: Option<ResourceId>,
+    /// Candidates walked: online, not blacklisted, not excluded.
+    pub candidates: usize,
+    /// Candidates that passed every matchmaking filter.
+    pub eligible: usize,
+    /// Rejected candidates per reason, indexed by `reason as usize`.
+    pub rejects: [u64; RejectReason::ALL.len()],
+    /// The stage-in estimate the ranker saw for the winner (`None` when the
+    /// grid is data-blind or nothing was chosen).
+    pub chosen_stage_in: Option<f64>,
+}
+
+/// The grid's matchmaker. Walks the resource ids `ids` over the id-indexed
+/// view table `views` (`None` = offline or blacklisted), skipping ids in
+/// `excluded`. Each walked view gets its stage-in estimate from `stage_in`
+/// when the grid is data-aware, is filtered by [`matches()`], and competes
+/// under [`rank_order`].
+///
+/// `ids` may be any superset of the eligible resources: the grid passes a
+/// [`crate::index::DispatchIndex`] capability class, or every id when
+/// telemetry wants a reject reason for each candidate. Resources outside
+/// the class always fail [`matches()`], so both choose the same resource.
+pub fn choose_in_table(
+    job: &JobSpec,
+    ids: &[usize],
+    views: &mut [Option<ResourceView>],
+    excluded: Option<&HashSet<usize>>,
+    stage_in: Option<impl Fn(usize) -> f64>,
+    policy: &SchedulerPolicy,
+) -> DecisionTally {
+    let mut tally = DecisionTally::default();
+    let mut best: Option<(f64, f64, ResourceId)> = None;
+    for &r in ids {
+        if excluded.is_some_and(|ex| ex.contains(&r)) {
+            continue;
+        }
+        let Some(v) = views[r].as_mut() else {
+            continue;
+        };
+        if let Some(estimate) = &stage_in {
+            v.stage_in_seconds = Some(estimate(r));
+        }
+        tally.candidates += 1;
+        if let Err(reason) = matches(job, v, policy) {
+            tally.rejects[reason as usize] += 1;
+            continue;
+        }
+        tally.eligible += 1;
+        let key = rank_key(v, policy);
+        if best.is_none_or(|b| rank_order(key, b).is_lt()) {
+            best = Some(key);
+            tally.chosen_stage_in = v.stage_in_seconds;
+        }
+    }
+    tally.chosen = best.map(|(_, _, id)| id);
+    tally
 }
 
 /// One candidate's fate in an explained scheduling decision: the rank inputs
@@ -442,6 +525,23 @@ mod tests {
             choose_resource(&job, &[slow, fast2], &smart),
             Some(ResourceId(1))
         );
+    }
+
+    #[test]
+    fn rank_order_breaks_score_ties_by_speed_then_id() {
+        let id = ResourceId;
+        assert!(rank_order((0.5, 1.0, id(3)), (0.6, 9.0, id(0))).is_lt());
+        assert!(rank_order((0.5, 2.0, id(3)), (0.5, 1.0, id(0))).is_lt());
+        assert!(rank_order((0.5, 1.0, id(0)), (0.5, 1.0, id(3))).is_lt());
+        // Naive scoring ignores speed, so equal loads tie on score and the
+        // faster resource wins even from the higher id.
+        let naive = SchedulerPolicy {
+            use_speed_scaling: false,
+            ..Default::default()
+        };
+        let views = [cluster_view(0, 8, 0.5), cluster_view(1, 8, 2.0)];
+        let job = JobSpec::simple(1, 100.0);
+        assert_eq!(choose_resource(&job, &views, &naive), Some(ResourceId(1)));
     }
 
     #[test]

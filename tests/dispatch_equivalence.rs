@@ -1,12 +1,22 @@
-//! Differential tests: the feeder-indexed dispatch path must be *decision-
-//! and byte-identical* to the legacy full scan. Two grids built from the
-//! same config and workload — one forced onto the pre-index scan path via
-//! [`Grid::set_legacy_scan_path`] — are stepped in lockstep and compared by
-//! their full snapshot encodings (world + calendar + clock + event counter),
-//! so equality proves identical choices *and* bit-identical event streams,
-//! not just similar aggregates. Covered: plain mixed workloads, data-aware
-//! stage-in ranking, E12-style random fault timelines, and snapshot/restore
-//! at an event boundary (the index is derived state, rebuilt on restore).
+//! Pinned trajectories of the grid's one matchmaker, plus restore lockstep.
+//!
+//! Until the feeder index became the only matchmaker, every scenario here
+//! stepped an indexed grid in lockstep with a grid forced onto the pre-index
+//! full scan and compared full snapshot bytes. That full scan is gone from
+//! production code; the pins below carry its behaviour forward. Each pin is
+//! the FNV-1a 64 hash of `Grid::to_snapshot()` (world + calendar + clock +
+//! event counter) after `MID` events and after the scenario's event budget,
+//! captured at commit `dc42112` from grids switched onto the full scan (the
+//! `Grid` setter that did so was removed with it) by running these same
+//! scenario builders. Telemetry-on grids used the full scan unconditionally
+//! at that commit, so the telemetry variants pin the explained decisions
+//! (every reject reason is exercised) that the widened indexed walk now
+//! produces. The proptest that used to sample ten random cases is an
+//! explicit table of the cases it drew.
+//!
+//! The function-level oracle — the walk against the reference full scan,
+//! `choose_resource_explained` — lives in
+//! `crates/gridsim/tests/matchmaker_differential.rs`.
 
 use gridsim::boinc::BoincConfig;
 use gridsim::data::{DataConfig, ObjectRef};
@@ -16,10 +26,41 @@ use gridsim::job::JobSpec;
 use gridsim::platform::Platform;
 use gridsim::recovery::RecoveryPolicy;
 use gridsim::resource::{ResourceKind, ResourceSpec};
-use proptest::prelude::*;
+use gridsim::TelemetryConfig;
 use rand::RngCore;
 use simkit::{SimDuration, SimRng, Snapshot};
 
+/// Events run before the mid-run pin.
+const MID: usize = 1_000;
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
+/// Run `grid` for up to `max_events` events and check its snapshot hash
+/// after [`MID`] events and at the end against `(mid, final)`.
+fn assert_pins(grid: &mut Grid, max_events: usize, pins: (u64, u64), label: &str) {
+    for step in 0..max_events {
+        if step == MID {
+            let mid = fnv1a(grid.to_snapshot().as_bytes());
+            assert_eq!(
+                mid, pins.0,
+                "{label}: mid-run snapshot drifted ({mid:#018x})"
+            );
+        }
+        if !grid.step() {
+            assert!(step >= MID, "{label}: drained before the mid-run pin");
+            break;
+        }
+    }
+    let fin = fnv1a(grid.to_snapshot().as_bytes());
+    assert_eq!(fin, pins.1, "{label}: final snapshot drifted ({fin:#018x})");
+}
 /// A grid with every resource flavour: stable clusters (MPI, software),
 /// a preemptable Condor pool, and a BOINC volunteer pool.
 fn mixed_config(seed: u64) -> GridConfig {
@@ -63,8 +104,135 @@ fn mixed_workload(seed: u64, n: u64) -> Vec<JobSpec> {
         .collect()
 }
 
-/// Step `a` (indexed) and `b` (legacy) in lockstep, comparing full snapshot
-/// bytes every `stride` events and at the end.
+/// [`mixed_workload`] plus one job per reject reason the mixed workload
+/// never hits: a Windows-only job (`Platform` on the clusters), a 20-hour
+/// estimate (`Stability` on the volunteer pools) and a 7-slot gang (`Mpi`
+/// on the 6-slot SGE cluster, from its MDS slot count).
+fn telemetry_workload(seed: u64, n: u64) -> Vec<JobSpec> {
+    let mut jobs = mixed_workload(seed, n);
+    let mut windows = JobSpec::simple(n, 2.0 * 3600.0).with_estimate(2.0 * 3600.0);
+    windows.platforms = vec![Platform::WINDOWS_X64];
+    jobs.push(windows);
+    jobs.push(JobSpec::simple(n + 1, 20.0 * 3600.0).with_estimate(20.0 * 3600.0));
+    jobs.push(JobSpec::simple(n + 2, 3600.0).with_estimate(3600.0).mpi(7));
+    jobs
+}
+
+fn data_aware_config(seed: u64, telemetry: bool) -> GridConfig {
+    GridConfig {
+        data: Some(DataConfig::default()),
+        telemetry: telemetry.then(TelemetryConfig::default),
+        ..mixed_config(seed)
+    }
+}
+
+/// Every job reads one of five shared 40 MB alignments.
+fn with_inputs(jobs: Vec<JobSpec>) -> Vec<JobSpec> {
+    jobs.into_iter()
+        .map(|j| {
+            let name = format!("aln-{}", j.id.0 % 5);
+            j.with_input(ObjectRef::named(&name, 40 << 20))
+        })
+        .collect()
+}
+
+#[test]
+fn indexed_and_legacy_grids_are_byte_identical_in_lockstep() {
+    let mut grid = Grid::new(mixed_config(11));
+    grid.submit(mixed_workload(11, 35));
+    assert_pins(
+        &mut grid,
+        50_000,
+        (0xaefc_9b6a_1638_c692, 0xc298_6bb5_5f57_b286),
+        "mixed",
+    );
+}
+
+#[test]
+fn paths_agree_with_data_aware_stage_in_ranking() {
+    let mut grid = Grid::new(data_aware_config(23, false));
+    grid.submit(with_inputs(mixed_workload(23, 30)));
+    assert_pins(
+        &mut grid,
+        50_000,
+        (0x7714_69c2_9a0c_3261, 0x54b9_8d1e_8e65_a398),
+        "data-aware",
+    );
+}
+
+/// The observed grid explains every decision; its `scheduler.reject.*`
+/// counters must cover all five filters.
+fn assert_every_reject_reason_counted(grid: &Grid) {
+    let metrics = grid.world().telemetry().expect("telemetry on").metrics();
+    for reason in gridsim::scheduler::RejectReason::ALL {
+        let key = format!("scheduler.reject.{}", reason.label());
+        assert!(metrics.counter(&key) > 0, "{key} never counted");
+    }
+}
+
+#[test]
+fn observed_grid_is_byte_identical_to_full_scan() {
+    let mut grid = Grid::new(GridConfig {
+        telemetry: Some(TelemetryConfig::default()),
+        ..mixed_config(11)
+    });
+    grid.submit(telemetry_workload(11, 35));
+    assert_pins(
+        &mut grid,
+        50_000,
+        (0x1a5e_eee9_01b6_c9ce, 0xc744_9136_4f2c_627f),
+        "observed mixed",
+    );
+    assert_every_reject_reason_counted(&grid);
+}
+
+#[test]
+fn observed_paths_agree_with_data_aware_stage_in_ranking() {
+    let mut grid = Grid::new(data_aware_config(23, true));
+    grid.submit(with_inputs(telemetry_workload(23, 30)));
+    assert_pins(
+        &mut grid,
+        50_000,
+        (0xdd30_be19_8155_df09, 0x622b_2c83_7c71_2289),
+        "observed data-aware",
+    );
+    assert_every_reject_reason_counted(&grid);
+}
+
+#[test]
+fn paths_agree_under_fault_timelines_with_recovery() {
+    let pins = [
+        (3u64, 0x386a_1e10_552f_e787_u64, 0xcce9_eb48_e429_5c52_u64),
+        (91, 0x56e0_ada6_a80d_ee54, 0xb913_ab0c_fe83_3890),
+        (4242, 0xe19c_2d90_0f38_0fa7, 0x8e4d_99d5_4d23_b87c),
+    ];
+    for (seed, mid, fin) in pins {
+        let mut grid = Grid::new(GridConfig {
+            recovery: Some(RecoveryPolicy::default()),
+            max_local_retries: 2,
+            ..mixed_config(seed)
+        });
+        // E12-style chaos: outages, silent MDS partitions, stragglers, …
+        // against the service resources.
+        let mut frng = SimRng::new(seed ^ 0xFA17);
+        grid.inject_faults(random_faults(
+            &mut frng,
+            &[0, 1, 2],
+            SimDuration::from_hours(48),
+            12,
+        ));
+        grid.submit(mixed_workload(seed, 30));
+        assert_pins(
+            &mut grid,
+            200_000,
+            (mid, fin),
+            &format!("faults seed {seed}"),
+        );
+    }
+}
+
+/// Step two grids in lockstep, comparing full snapshot bytes every `stride`
+/// events and at the end.
 fn assert_lockstep_identical(a: &mut Grid, b: &mut Grid, stride: usize, max_events: usize) {
     for step in 0..max_events {
         let pa = a.step();
@@ -87,145 +255,118 @@ fn assert_lockstep_identical(a: &mut Grid, b: &mut Grid, stride: usize, max_even
 }
 
 #[test]
-fn indexed_and_legacy_grids_are_byte_identical_in_lockstep() {
-    let mut indexed = Grid::new(mixed_config(11));
-    let mut legacy = Grid::new(mixed_config(11));
-    legacy.set_legacy_scan_path(true);
-    let jobs = mixed_workload(11, 35);
-    indexed.submit(jobs.clone());
-    legacy.submit(jobs);
-    assert_lockstep_identical(&mut indexed, &mut legacy, 250, 50_000);
-}
-
-#[test]
-fn paths_agree_with_data_aware_stage_in_ranking() {
-    let config = |seed| GridConfig {
-        data: Some(DataConfig::default()),
-        ..mixed_config(seed)
-    };
-    let jobs: Vec<JobSpec> = mixed_workload(23, 30)
-        .into_iter()
-        .map(|j| {
-            let name = format!("aln-{}", j.id.0 % 5);
-            j.with_input(ObjectRef::named(&name, 40 << 20))
-        })
-        .collect();
-    let mut indexed = Grid::new(config(23));
-    let mut legacy = Grid::new(config(23));
-    legacy.set_legacy_scan_path(true);
-    indexed.submit(jobs.clone());
-    legacy.submit(jobs);
-    assert_lockstep_identical(&mut indexed, &mut legacy, 250, 50_000);
-}
-
-#[test]
-fn paths_agree_under_fault_timelines_with_recovery() {
-    let config = |seed| GridConfig {
-        recovery: Some(RecoveryPolicy::default()),
-        max_local_retries: 2,
-        ..mixed_config(seed)
-    };
-    for seed in [3u64, 91, 4242] {
-        let mut indexed = Grid::new(config(seed));
-        let mut legacy = Grid::new(config(seed));
-        legacy.set_legacy_scan_path(true);
-        // E12-style chaos: outages, silent MDS partitions, stragglers, …
-        // against the service resources; identical scripts on both grids.
-        let faults = |s: u64| {
-            let mut frng = SimRng::new(s ^ 0xFA17);
-            random_faults(&mut frng, &[0, 1, 2], SimDuration::from_hours(48), 12)
-        };
-        indexed.inject_faults(faults(seed));
-        legacy.inject_faults(faults(seed));
-        let jobs = mixed_workload(seed, 30);
-        indexed.submit(jobs.clone());
-        legacy.submit(jobs);
-        assert_lockstep_identical(&mut indexed, &mut legacy, 500, 200_000);
-    }
-}
-
-#[test]
 fn restored_snapshot_resumes_identically_on_either_path() {
-    // Run the indexed grid to an event boundary mid-flight, checkpoint, and
-    // restore. The restored grid (index rebuilt from the snapshot's resource
-    // list) is forced onto the legacy path; both must replay bit-identical
-    // histories to the end.
-    let mut indexed = Grid::new(mixed_config(47));
-    indexed.submit(mixed_workload(47, 35));
+    // Checkpoint mid-flight and restore: the restored grid rebuilds its
+    // derived index from the snapshot's resource list, while the
+    // uninterrupted grid keeps the one it grew incrementally. Both must
+    // replay bit-identical histories, and the restored future must match
+    // what the full-scan grid did from the same checkpoint.
+    let mut uninterrupted = Grid::new(mixed_config(47));
+    uninterrupted.submit(mixed_workload(47, 35));
     for _ in 0..2_000 {
-        assert!(indexed.step(), "workload drained before the checkpoint");
+        assert!(
+            uninterrupted.step(),
+            "workload drained before the checkpoint"
+        );
     }
-    let snap = indexed.to_snapshot();
-    let mut legacy = Grid::from_snapshot(&snap).expect("snapshot restores");
-    legacy.set_legacy_scan_path(true);
+    let snap = uninterrupted.to_snapshot();
+    assert_eq!(
+        fnv1a(snap.as_bytes()),
+        0xaf13_22c1_a399_4700,
+        "checkpoint drifted"
+    );
+    let mut restored = Grid::from_snapshot(&snap).expect("snapshot restores");
     // The derived index must not leak into snapshot bytes.
-    assert_eq!(legacy.to_snapshot(), snap, "restore must be byte-stable");
-    assert_lockstep_identical(&mut indexed, &mut legacy, 500, 200_000);
+    assert_eq!(restored.to_snapshot(), snap, "restore must be byte-stable");
+    assert_pins(
+        &mut Grid::from_snapshot(&snap).expect("snapshot restores"),
+        200_000,
+        (0xebd3_ac25_6728_3660, 0xa031_17ba_21c3_1fad),
+        "restored",
+    );
+    assert_lockstep_identical(&mut uninterrupted, &mut restored, 500, 200_000);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 10, ..ProptestConfig::default() })]
-
-    /// Random resource mixes, requirement-diverse workloads, and random
-    /// fault timelines: both matchmaker paths must produce identical
-    /// decisions and bit-identical grid event streams (proved via full
-    /// snapshot bytes, which embed the calendar and every per-job record,
-    /// including telemetry-free reject outcomes reflected in `failed_on`).
-    #[test]
-    fn random_mixes_and_faults_keep_paths_identical(
-        seed in 0u64..10_000,
-        n_jobs in 8u64..28,
-        n_faults in 0usize..10,
-        flags in 0u64..4,
-    ) {
-        let (with_boinc, with_recovery) = (flags & 1 != 0, flags & 2 != 0);
-        let mut rng = SimRng::new(seed);
-        let n_clusters = 1 + (rng.next_u64() % 3) as usize;
-        let mut resources = Vec::new();
-        for i in 0..n_clusters {
-            let kind = if i % 2 == 0 { ResourceKind::PbsCluster } else { ResourceKind::SgeCluster };
-            let mut spec = ResourceSpec::cluster(
-                &format!("c{i}"),
-                kind,
-                2 + (rng.next_u64() % 12) as usize,
-                rng.range_f64(0.6, 1.8),
-            );
-            if rng.next_u64() % 2 == 0 {
-                spec.software.push("gromacs".into());
-            }
-            resources.push(spec);
-        }
-        resources.push(ResourceSpec::condor_pool(
-            "pool",
-            4 + (rng.next_u64() % 16) as usize,
-            rng.range_f64(0.7, 1.5),
-            rng.range_f64(3.0, 12.0),
-        ));
-        let fault_targets: Vec<usize> = (0..resources.len()).collect();
-        let config = GridConfig {
-            resources,
-            boinc: with_boinc.then(|| BoincConfig {
-                num_clients: 5 + (seed % 20) as usize,
-                ..Default::default()
-            }),
-            recovery: with_recovery.then(RecoveryPolicy::default),
-            seed,
-            ..Default::default()
+/// A random resource mix (1–3 clusters, one Condor pool, optional BOINC
+/// pool and recovery) with an optional random fault timeline.
+fn random_mix_grid(seed: u64, n_jobs: u64, n_faults: usize, flags: u64) -> Grid {
+    let (with_boinc, with_recovery) = (flags & 1 != 0, flags & 2 != 0);
+    let mut rng = SimRng::new(seed);
+    let n_clusters = 1 + (rng.next_u64() % 3) as usize;
+    let mut resources = Vec::new();
+    for i in 0..n_clusters {
+        let kind = if i % 2 == 0 {
+            ResourceKind::PbsCluster
+        } else {
+            ResourceKind::SgeCluster
         };
-        let mut indexed = Grid::new(config.clone());
-        let mut legacy = Grid::new(config);
-        legacy.set_legacy_scan_path(true);
-        if n_faults > 0 {
-            let faults = |s: u64| {
-                let mut frng = SimRng::new(s ^ 0xFA17);
-                random_faults(&mut frng, &fault_targets, SimDuration::from_hours(36), n_faults)
-            };
-            indexed.inject_faults(faults(seed));
-            legacy.inject_faults(faults(seed));
+        let mut spec = ResourceSpec::cluster(
+            &format!("c{i}"),
+            kind,
+            2 + (rng.next_u64() % 12) as usize,
+            rng.range_f64(0.6, 1.8),
+        );
+        if rng.next_u64().is_multiple_of(2) {
+            spec.software.push("gromacs".into());
         }
-        let jobs = mixed_workload(seed, n_jobs);
-        indexed.submit(jobs.clone());
-        legacy.submit(jobs);
-        assert_lockstep_identical(&mut indexed, &mut legacy, 400, 150_000);
+        resources.push(spec);
+    }
+    resources.push(ResourceSpec::condor_pool(
+        "pool",
+        4 + (rng.next_u64() % 16) as usize,
+        rng.range_f64(0.7, 1.5),
+        rng.range_f64(3.0, 12.0),
+    ));
+    let fault_targets: Vec<usize> = (0..resources.len()).collect();
+    let mut grid = Grid::new(GridConfig {
+        resources,
+        boinc: with_boinc.then(|| BoincConfig {
+            num_clients: 5 + (seed % 20) as usize,
+            ..Default::default()
+        }),
+        recovery: with_recovery.then(RecoveryPolicy::default),
+        seed,
+        ..Default::default()
+    });
+    if n_faults > 0 {
+        let mut frng = SimRng::new(seed ^ 0xFA17);
+        grid.inject_faults(random_faults(
+            &mut frng,
+            &fault_targets,
+            SimDuration::from_hours(36),
+            n_faults,
+        ));
+    }
+    grid.submit(mixed_workload(seed, n_jobs));
+    grid
+}
+
+#[test]
+fn random_mixes_and_faults_keep_paths_identical() {
+    // (seed, n_jobs, n_faults, flags, mid pin, final pin): the ten cases
+    // the former proptest drew (flags bit 0 = BOINC pool, bit 1 = recovery).
+    let cases = [
+        (
+            8775u64,
+            27u64,
+            3usize,
+            3u64,
+            0x2208_be41_34cb_95b7_u64,
+            0xcf19_75c5_75b4_f45b_u64,
+        ),
+        (9196, 16, 9, 1, 0xecdd_9186_2067_dc7a, 0x8fbb_4175_299b_7d69),
+        (4535, 12, 0, 1, 0x6a72_ccb5_7429_0ce3, 0x4947_bc36_8743_57f1),
+        (4027, 11, 0, 0, 0xb0c1_a76a_7e4f_032e, 0xe4f8_cbb3_5504_9a0c),
+        (2541, 20, 0, 3, 0x5ec7_aba7_a985_78a0, 0x177a_3d40_526a_b4ac),
+        (7644, 19, 9, 1, 0xf140_4d6a_665c_af4a, 0xa84d_137b_87f0_5ef6),
+        (8651, 13, 5, 0, 0x8682_2509_c433_7f72, 0x57bc_29ab_f24d_86fb),
+        (9876, 19, 1, 0, 0x1297_ecd6_261a_8118, 0x1183_ebf2_2459_84fd),
+        (7134, 25, 2, 2, 0x09dd_27e6_74f4_f319, 0xc092_0bc8_94e1_7f81),
+        (5873, 24, 2, 2, 0x33fb_ad37_aab6_5440, 0xa5bd_444f_3e7d_7905),
+    ];
+    for (seed, n_jobs, n_faults, flags, mid, fin) in cases {
+        let mut grid = random_mix_grid(seed, n_jobs, n_faults, flags);
+        let label = format!("case ({seed}, {n_jobs}, {n_faults}, {flags})");
+        assert_pins(&mut grid, 150_000, (mid, fin), &label);
     }
 }

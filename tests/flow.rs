@@ -10,8 +10,8 @@
 //!    state, and report must still hash to exactly these values.
 //! 2. **Mid-DAG restore.** A grid checkpointed halfway through a DAG
 //!    campaign (stages still barred, churn model mid-timeline) must resume
-//!    to a byte-identical future on both the feeder-indexed and the legacy
-//!    full-scan dispatch paths.
+//!    to a byte-identical future: the uninterrupted run's, and the one the
+//!    pre-index full-scan matchmaker produced (pinned below).
 
 use gridsim::boinc::BoincConfig;
 use gridsim::resource::{ResourceKind, ResourceSpec};
@@ -143,10 +143,19 @@ fn dag_churn_grid(seed: u64) -> Grid {
 
 #[test]
 fn mid_dag_snapshot_restores_to_byte_identical_future_on_both_paths() {
+    // FNV-1a 64 of the checkpoint, and of the report and final state a
+    // grid restored from it reached on the pre-index full-scan matchmaker,
+    // captured at commit `dc42112`, the last commit that had it.
+    let (checkpoint_pin, report_pin, final_pin) = (
+        0x5393_ecc9_e249_2981_u64,
+        0xdd2e_854b_594d_4779_u64,
+        0xefda_2587_b0f2_4600_u64,
+    );
     let horizon = SimTime::from_days(8);
     let mut original = dag_churn_grid(101);
     original.run_until(SimTime::from_hours(5));
     let checkpoint = serde_json::to_string(&original).unwrap();
+    assert_eq!(fnv1a(checkpoint.as_bytes()), checkpoint_pin);
 
     // The checkpoint must be genuinely mid-DAG: some stage still barred
     // behind unfinished dependencies (otherwise this test degrades into a
@@ -158,30 +167,25 @@ fn mid_dag_snapshot_restores_to_byte_identical_future_on_both_paths() {
     );
 
     let base = original.run_until_done(horizon);
+    let base_report = serde_json::to_string(&base).unwrap();
     let base_state = serde_json::to_string(&original).unwrap();
 
-    // Indexed path (the default).
-    let mut indexed: Grid = serde_json::from_str(&checkpoint).unwrap();
-    let indexed_report = indexed.run_until_done(horizon);
+    let mut restored: Grid = serde_json::from_str(&checkpoint).unwrap();
+    let restored_report = restored.run_until_done(horizon);
     assert_eq!(
-        serde_json::to_string(&indexed_report).unwrap(),
-        serde_json::to_string(&base).unwrap(),
-        "restored (indexed) future diverged from the uninterrupted run"
+        serde_json::to_string(&restored_report).unwrap(),
+        base_report,
+        "restored future diverged from the uninterrupted run"
     );
-    assert_eq!(serde_json::to_string(&indexed).unwrap(), base_state);
-
-    // Legacy full-scan path.
-    let mut legacy: Grid = serde_json::from_str(&checkpoint).unwrap();
-    legacy.set_legacy_scan_path(true);
-    let legacy_report = legacy.run_until_done(horizon);
+    assert_eq!(serde_json::to_string(&restored).unwrap(), base_state);
+    assert_eq!(fnv1a(base_report.as_bytes()), report_pin, "report drifted");
     assert_eq!(
-        serde_json::to_string(&legacy_report).unwrap(),
-        serde_json::to_string(&base).unwrap(),
-        "restored (legacy scan) future diverged from the uninterrupted run"
+        fnv1a(base_state.as_bytes()),
+        final_pin,
+        "final state drifted"
     );
-    assert_eq!(serde_json::to_string(&legacy).unwrap(), base_state);
 
-    // The campaign actually finished inside the horizon on all three.
+    // The campaign actually finished inside the horizon.
     assert_eq!(base.flow.as_ref().unwrap().campaigns_completed, 1);
 }
 
@@ -223,4 +227,42 @@ fn dag_aware_scheduling_is_deterministic_per_seed() {
     };
     assert_eq!(run(7), run(7));
     assert_ne!(run(7), run(8));
+}
+
+#[test]
+fn dag_aware_hint_reorders_a_contended_backlog() {
+    // Three pipelines with different deadlines compete for four slots, so
+    // the backlog holds ready stages from every campaign at once. Slack
+    // ordering must change which stage dispatches first; a grid that
+    // ignored the hint would replay the blind run byte for byte.
+    let run = |dag_aware: bool| {
+        let mut grid = Grid::new(GridConfig {
+            resources: vec![ResourceSpec::cluster(
+                "cluster",
+                ResourceKind::PbsCluster,
+                4,
+                1.0,
+            )],
+            flow: Some(FlowConfig { dag_aware }),
+            seed: 5,
+            ..Default::default()
+        });
+        for (first_job, hours) in [(1u64, 400.0), (101, 48.0), (201, 120.0)] {
+            let dag = DagSpec::phylo_pipeline(
+                &format!("c{first_job}"),
+                2,
+                8,
+                1800.0,
+                7200.0,
+                3600.0,
+                900.0,
+            )
+            .with_deadline_hours(hours);
+            grid.submit_dag(first_job, dag).expect("valid pipeline");
+        }
+        let report = grid.run_until_done(SimTime::from_days(30));
+        assert_eq!(report.flow.as_ref().unwrap().campaigns_completed, 3);
+        serde_json::to_string(&report).unwrap()
+    };
+    assert_ne!(run(true), run(false), "slack ordering changed nothing");
 }

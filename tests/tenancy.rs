@@ -8,9 +8,9 @@
 //!    `tenancy: None` grid, once the tenancy ledger itself is stripped from
 //!    the snapshot. The admission layer must consume no randomness and
 //!    perturb no scheduling decision when unused.
-//! 2. **Path equivalence** — with tenancy on and real tenant traffic, the
-//!    feeder-indexed dispatch path and the legacy full scan stay
-//!    byte-identical (extends `dispatch_equivalence.rs` to tenant grids).
+//! 2. **Pinned trajectory** — with tenancy on and real tenant traffic, the
+//!    grid's snapshot hashes match pins captured from the pre-index full
+//!    scan (extends `dispatch_equivalence.rs` to tenant grids).
 //! 3. **Restart safety** — a mid-flight checkpoint of a tenant grid
 //!    round-trips bit-exactly and replays identically, and a *pre-tenancy*
 //!    snapshot (no `tenancy` key at all) restores into a tenancy-enabled
@@ -101,7 +101,7 @@ fn world_has_tenancy_key(grid: &Grid) -> bool {
 }
 
 /// Step two grids in lockstep, comparing snapshot bytes every `stride`
-/// events and at the end (borrowed from `dispatch_equivalence.rs`).
+/// events and at the end.
 fn assert_lockstep_identical(a: &mut Grid, b: &mut Grid, stride: usize, max_events: usize) {
     for step in 0..max_events {
         let pa = a.step();
@@ -175,16 +175,34 @@ fn unused_tenancy_layer_is_inert() {
     assert_eq!(snap.rejected, 0);
 }
 
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
 #[test]
 fn tenant_grids_agree_on_both_matchmaker_paths() {
-    let mut indexed = Grid::new(tenant_config(43));
-    let mut legacy = Grid::new(tenant_config(43));
-    legacy.set_legacy_scan_path(true);
-    seed_tenant_traffic(&mut indexed, 43);
-    seed_tenant_traffic(&mut legacy, 43);
-    assert_lockstep_identical(&mut indexed, &mut legacy, 250, 40_000);
+    // FNV-1a 64 of `to_snapshot()` after 1,000 events and after 40,000,
+    // captured from a grid switched onto the pre-index full-scan matchmaker
+    // at commit `dc42112`, the last commit that had it; this scenario used
+    // to step both matchmakers in lockstep.
+    let mut grid = Grid::new(tenant_config(43));
+    seed_tenant_traffic(&mut grid, 43);
+    for step in 0..40_000 {
+        if step == 1_000 {
+            let mid = fnv1a(grid.to_snapshot().as_bytes());
+            assert_eq!(mid, 0x5c18_c950_e9c9_5931, "mid-run snapshot drifted");
+        }
+        assert!(grid.step(), "calendar drained at step {step}");
+    }
+    let fin = fnv1a(grid.to_snapshot().as_bytes());
+    assert_eq!(fin, 0x6271_6f52_09ae_11f9, "final snapshot drifted");
     // The run actually exercised the tenancy layer, not just empty books.
-    let snap = indexed.tenancy_snapshot(5).expect("tenancy enabled");
+    let snap = grid.tenancy_snapshot(5).expect("tenancy enabled");
     assert_eq!(snap.submitted, 63);
     assert!(snap.completed > 0, "no tenant job completed: {snap:?}");
     assert!(snap.credit > 0.0, "no credit granted");
