@@ -145,6 +145,7 @@ impl LruCache {
     }
 }
 
+// Kept by hand: `[id, size, tick]` triples, flatter than `sorted_pairs`.
 // Snapshot serde: the resident map is keyed by `ObjectId`, which JSON maps
 // cannot express, so it is flattened to `[id, size, tick]` triples (already
 // sorted — `BTreeMap` iteration order), keeping the rendering byte-stable.

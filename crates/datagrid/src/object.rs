@@ -1,6 +1,6 @@
 //! Content-addressed objects: identities, references, and the store.
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Content address of an immutable object: a 64-bit hash of its bytes.
@@ -81,8 +81,9 @@ impl StoreStats {
 /// The store is the portal-side source of truth: every job's inputs are
 /// registered here on submission, and registering the same content twice is
 /// a dedup hit — the second copy costs nothing.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ObjectStore {
+    #[serde(with = "serde::sorted_pairs")]
     sizes: BTreeMap<ObjectId, u64>,
     stats: StoreStats,
 }
@@ -134,31 +135,6 @@ impl ObjectStore {
     /// Aggregate accounting.
     pub fn stats(&self) -> StoreStats {
         self.stats
-    }
-}
-
-// Snapshot serde: the catalogue is keyed by `ObjectId`, so it flattens to
-// sorted `[id, size]` pairs (JSON map keys must be strings).
-impl Serialize for ObjectStore {
-    fn to_value(&self) -> Value {
-        let sizes: Vec<(ObjectId, u64)> = self.sizes.iter().map(|(&id, &s)| (id, s)).collect();
-        Value::Map(vec![
-            ("sizes".to_string(), sizes.to_value()),
-            ("stats".to_string(), self.stats.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for ObjectStore {
-    fn from_value(value: &Value) -> Result<Self, serde::Error> {
-        let fields = value
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for ObjectStore"))?;
-        let sizes: Vec<(ObjectId, u64)> = serde::field(fields, "sizes")?;
-        Ok(ObjectStore {
-            sizes: sizes.into_iter().collect(),
-            stats: serde::field(fields, "stats")?,
-        })
     }
 }
 

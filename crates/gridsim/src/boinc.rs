@@ -202,34 +202,10 @@ struct Assignment {
 /// set: the quorum engine plus a per-workunit ledger of CPU-seconds banked
 /// per returned result (arrival order), so useful vs. wasted compute can be
 /// split along the engine's valid/invalid verdict at completion.
-#[derive(Debug)]
+#[derive(Debug, Serialize, Deserialize)]
 struct ValidationState {
     engine: QuorumEngine,
     cpu_by_result: IdMap<Vec<f64>>,
-}
-
-// Snapshot serde: the CPU ledger is keyed by `JobId` (dense, so an
-// [`IdMap`]), which encodes as id-sorted `[id, cpus]` pairs — the same
-// byte-stable shape the previous sorted-`HashMap` rendering produced.
-impl Serialize for ValidationState {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("engine".to_string(), self.engine.to_value()),
-            ("cpu_by_result".to_string(), self.cpu_by_result.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for ValidationState {
-    fn from_value(value: &Value) -> Result<Self, serde::Error> {
-        let fields = value
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for ValidationState"))?;
-        Ok(ValidationState {
-            engine: serde::field(fields, "engine")?,
-            cpu_by_result: serde::field(fields, "cpu_by_result")?,
-        })
-    }
 }
 
 /// What the grid must act on after a BOINC state change.
@@ -263,7 +239,14 @@ pub enum BoincOutcome {
 }
 
 /// The simulated BOINC project (server + volunteer hosts).
-#[derive(Debug)]
+///
+/// In a snapshot the work queue keeps its FIFO order (escalation copies
+/// push_front, so order is semantic) and the id-keyed maps are [`IdMap`]s,
+/// written as id-sorted pairs. Client task records carry their `done`
+/// [`EventHandle`]s verbatim; they stay valid because the grid calendar
+/// snapshots its handle space intact. The `churn` key exists only when the
+/// model is on, so churn-off snapshots keep the pre-churn format.
+#[derive(Debug, Serialize)]
 pub struct BoincSim {
     config: BoincConfig,
     clients: Vec<Client>,
@@ -292,28 +275,37 @@ pub struct BoincSim {
     rng: SimRng,
     /// Realistic availability (`GridConfig::churn`); `None` keeps the flat
     /// exponential flips.
+    #[serde(skip_serializing_if = "Option::is_none")]
     churn: Option<ChurnModel>,
     // --- Feeder index: derived state, never serialized (rebuilt on restore
     // and therefore invisible to snapshot byte-identity comparisons). ---
     /// Clients that are available, untasked, and not mid-RPC — exactly the
     /// set the matchmaker hands work to, visited in ascending client order.
+    #[serde(skip)]
     idle: BTreeSet<usize>,
     /// Clients with `available && task.is_none()` (the MDS "free slots"
     /// signal; unlike `idle` it includes clients mid-RPC).
+    #[serde(skip)]
     free_clients: usize,
     /// Clients currently holding a task.
+    #[serde(skip)]
     active: usize,
     /// Workunits not yet completed.
+    #[serde(skip)]
     unfinished: usize,
     /// Sum of `reissues` across all workunits.
+    #[serde(skip)]
     reissues_total: u32,
     /// Sum of `reissues` across completed workunits (reissue counts never
     /// change after completion, so `total - completed` is the pending sum).
+    #[serde(skip)]
     reissues_completed: u32,
     /// Client speed factors, ascending (median/mean cache; updated
     /// incrementally on speed change rather than rebuilt per query).
+    #[serde(skip)]
     sorted_speeds: Vec<f64>,
     /// Sum of client speed factors.
+    #[serde(skip)]
     speed_sum: f64,
 }
 
@@ -1109,55 +1101,7 @@ pub struct FlipInfo {
     pub died: bool,
 }
 
-// Snapshot serde: the work queue keeps its FIFO order (escalation copies
-// push_front, so order is semantic), while the workunit, assignment, and
-// useful-CPU maps are [`IdMap`]s whose encoding is already id-sorted pairs
-// — byte-identical to the sorted-`HashMap` renderings they replaced.
-// Client task records carry their `done` [`EventHandle`]s verbatim; they
-// stay valid because the grid calendar snapshots its handle space intact.
-// Feeder-index state (idle set, counters, speed cache) is derived, so it
-// is *not* serialized: restore rebuilds it.
-impl Serialize for BoincSim {
-    fn to_value(&self) -> Value {
-        let queue: Vec<JobId> = self.queue.iter().copied().collect();
-        let mut fields = vec![
-            ("config".to_string(), self.config.to_value()),
-            ("clients".to_string(), self.clients.to_value()),
-            ("queue".to_string(), queue.to_value()),
-            ("workunits".to_string(), self.workunits.to_value()),
-            ("assignments".to_string(), self.assignments.to_value()),
-            (
-                "next_assignment".to_string(),
-                self.next_assignment.to_value(),
-            ),
-            (
-                "wasted_cpu_seconds".to_string(),
-                self.wasted_cpu_seconds.to_value(),
-            ),
-            ("useful_by_wu".to_string(), self.useful_by_wu.to_value()),
-            (
-                "corruption_rate".to_string(),
-                self.corruption_rate.to_value(),
-            ),
-            ("corrupt_caught".to_string(), self.corrupt_caught.to_value()),
-            (
-                "corrupt_accepted".to_string(),
-                self.corrupt_accepted.to_value(),
-            ),
-            ("erroneous_rate".to_string(), self.erroneous_rate.to_value()),
-            ("malicious".to_string(), self.malicious.to_value()),
-            ("validation".to_string(), self.validation.to_value()),
-            ("rng".to_string(), self.rng.to_value()),
-        ];
-        // The churn key exists only when the model is enabled, keeping
-        // churn-off snapshots byte-identical to the pre-churn format.
-        if let Some(churn) = &self.churn {
-            fields.push(("churn".to_string(), churn.to_value()));
-        }
-        Value::Map(fields)
-    }
-}
-
+// Kept by hand: restore validates the config and rebuilds the feeder index.
 impl Deserialize for BoincSim {
     fn from_value(value: &Value) -> Result<Self, serde::Error> {
         let fields = value
@@ -1188,7 +1132,7 @@ impl Deserialize for BoincSim {
             validation: serde::field(fields, "validation")?,
             rng: serde::field(fields, "rng")?,
             // Absent in pre-churn (and churn-off) snapshots.
-            churn: serde::field_or(fields, "churn", || None)?,
+            churn: serde::field_with(fields, "churn", Deserialize::from_value, Some(|| None))?,
             idle: BTreeSet::new(),
             free_clients: 0,
             active: 0,

@@ -130,7 +130,13 @@ impl GridEvent {
 }
 
 /// Grid-wide configuration.
-#[derive(Debug, Clone)]
+///
+/// The `flow`/`churn` keys are written only when those subsystems are on, so
+/// a flow-free, churn-free config renders byte-identically to the format
+/// every earlier snapshot used, and those snapshots restore here. `tenancy`
+/// is always written (its `null` is part of the pinned format) but may be
+/// absent in pre-tenancy snapshots.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GridConfig {
     /// The service-grid resources (Condor/PBS/SGE). A `BoincPool` spec here
     /// is ignored — configure the pool via `boinc` instead.
@@ -179,6 +185,7 @@ pub struct GridConfig {
     /// the tenant book entirely, and the book itself consumes no
     /// randomness and schedules no events, so a tenancy-free grid is
     /// byte-identical to one built before the crate existed.
+    #[serde(default)]
     pub tenancy: Option<tenancy::TenancyConfig>,
     /// DAG-structured campaigns (stage barriers, critical-path slack fed
     /// into dispatch priority — see the `flow` crate). `None` (the
@@ -186,87 +193,16 @@ pub struct GridConfig {
     /// randomness, schedules no events, and its snapshot key is only
     /// written when it exists, so a flow-free grid is byte-identical to
     /// one built before the crate existed.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub flow: Option<flow::FlowConfig>,
     /// Realistic volunteer availability (lifetime decay, diurnal/weekly
     /// rhythms, correlated site outages, trace replay — see
     /// [`crate::churn`]). Requires `boinc`. `None` (the default) keeps
     /// the flat exponential on/off flips, byte-identical to before.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub churn: Option<crate::churn::ChurnConfig>,
     /// Master seed.
     pub seed: u64,
-}
-
-// Manual encoding: the pre-flow fields keep their derive-style always-emit
-// layout (`tenancy` included — its `null` is part of the pinned format),
-// while the `flow`/`churn` keys exist only when those subsystems are on.
-// A flow-free, churn-free config therefore renders byte-identically to the
-// format every earlier snapshot used, and those snapshots restore here.
-impl Serialize for GridConfig {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("resources".to_string(), self.resources.to_value()),
-            ("boinc".to_string(), self.boinc.to_value()),
-            ("policy".to_string(), self.policy.to_value()),
-            (
-                "schedule_interval".to_string(),
-                self.schedule_interval.to_value(),
-            ),
-            (
-                "mds_report_interval".to_string(),
-                self.mds_report_interval.to_value(),
-            ),
-            ("mds_lifetime".to_string(), self.mds_lifetime.to_value()),
-            (
-                "dispatch_overhead".to_string(),
-                self.dispatch_overhead.to_value(),
-            ),
-            (
-                "max_local_retries".to_string(),
-                self.max_local_retries.to_value(),
-            ),
-            ("recovery".to_string(), self.recovery.to_value()),
-            ("telemetry".to_string(), self.telemetry.to_value()),
-            ("data".to_string(), self.data.to_value()),
-            ("validation".to_string(), self.validation.to_value()),
-            ("tenancy".to_string(), self.tenancy.to_value()),
-        ];
-        if let Some(fc) = &self.flow {
-            fields.push(("flow".to_string(), fc.to_value()));
-        }
-        if let Some(cc) = &self.churn {
-            fields.push(("churn".to_string(), cc.to_value()));
-        }
-        fields.push(("seed".to_string(), self.seed.to_value()));
-        Value::Map(fields)
-    }
-}
-
-impl Deserialize for GridConfig {
-    fn from_value(value: &Value) -> Result<Self, serde::Error> {
-        let fields = value
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for GridConfig"))?;
-        Ok(GridConfig {
-            resources: serde::field(fields, "resources")?,
-            boinc: serde::field(fields, "boinc")?,
-            policy: serde::field(fields, "policy")?,
-            schedule_interval: serde::field(fields, "schedule_interval")?,
-            mds_report_interval: serde::field(fields, "mds_report_interval")?,
-            mds_lifetime: serde::field(fields, "mds_lifetime")?,
-            dispatch_overhead: serde::field(fields, "dispatch_overhead")?,
-            max_local_retries: serde::field(fields, "max_local_retries")?,
-            recovery: serde::field(fields, "recovery")?,
-            telemetry: serde::field(fields, "telemetry")?,
-            data: serde::field(fields, "data")?,
-            validation: serde::field(fields, "validation")?,
-            // Absent in pre-tenancy snapshots.
-            tenancy: serde::field_or(fields, "tenancy", || None)?,
-            // Absent in pre-flow (and flow/churn-off) snapshots.
-            flow: serde::field_or(fields, "flow", || None)?,
-            churn: serde::field_or(fields, "churn", || None)?,
-            seed: serde::field(fields, "seed")?,
-        })
-    }
 }
 
 impl Default for GridConfig {
@@ -293,6 +229,15 @@ impl Default for GridConfig {
 }
 
 /// The simulation model.
+///
+/// In a snapshot, hash-keyed maps are id-sorted `[key, value]` pairs, so
+/// snapshot → restore → snapshot is byte-stable; `pending` keeps its live
+/// FIFO order because queue position is semantic. The `tenancy` and `flow`
+/// keys exist only while those subsystems are on, so a world without them
+/// snapshots to the bytes written before they existed, and restores from
+/// them. Only [`Grid`]'s `Deserialize` restores a world; it rebuilds the
+/// skipped dispatch index.
+#[derive(Serialize, Deserialize)]
 pub struct GridWorld {
     config: GridConfig,
     /// All resources (service-grid first, then the BOINC pool if present).
@@ -303,7 +248,9 @@ pub struct GridWorld {
     measured_speeds: Vec<f64>,
     mds: Mds,
     pending: VecDeque<JobId>,
+    #[serde(with = "serde::sorted_pairs")]
     records: HashMap<JobId, JobRecord>,
+    #[serde(with = "serde::sorted_pairs")]
     failed_on: HashMap<JobId, HashSet<usize>>,
     /// Per-resource flag: provider reports silently dropped (MDS partition)
     /// while the resource keeps computing.
@@ -312,31 +259,37 @@ pub struct GridWorld {
     stability: Option<StabilityTracker>,
     /// Checkpointed progress carried across grid-level bounces:
     /// job → (reference-seconds still owed, resource that computed it).
+    #[serde(with = "serde::sorted_pairs")]
     carry: HashMap<JobId, (f64, usize)>,
     /// Grid-level bounce count per live job (recovery policy only).
+    #[serde(with = "serde::sorted_pairs")]
     grid_retries: HashMap<JobId, u32>,
     /// Jobs permanently failed under the recovery policy's retry budget.
     dead_lettered: usize,
     completed: usize,
     dispatches: u64,
     submissions_rendered: u64,
-    /// Tenant book (admission, fair-share, credit); present iff
-    /// `config.tenancy` is.
-    tenancy: Option<tenancy::TenantBook>,
-    /// Workflow book (DAG campaigns, stage barriers, slack hints); present
-    /// iff `config.flow` is.
-    flow: Option<flow::FlowBook>,
     /// Telemetry sink; present iff `config.telemetry` is.
     telemetry: Option<GridTelemetry>,
     /// Data plane; present iff `config.data` is.
     data: Option<DataGridState>,
     rng: SimRng,
+    /// Tenant book (admission, fair-share, credit); present iff
+    /// `config.tenancy` is.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    tenancy: Option<tenancy::TenantBook>,
+    /// Workflow book (DAG campaigns, stage barriers, slack hints); present
+    /// iff `config.flow` is.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    flow: Option<flow::FlowBook>,
     /// Host-side self-profiler (wall-clock per event kind). Pure observer:
     /// excluded from snapshots and never consulted by the simulation, so a
     /// restored grid simply restarts profiling from zero.
+    #[serde(skip)]
     profiler: Option<simkit::profile::Profiler>,
     /// Feeder-style capability-class index over the (fixed) resource list.
     /// Derived state: never serialized, rebuilt from `resources` on restore.
+    #[serde(skip)]
     index: DispatchIndex,
 }
 
@@ -1049,132 +1002,6 @@ impl GridWorld {
     }
 }
 
-// Snapshot encoding: hash-keyed maps flatten to id-sorted `[key, value]`
-// pairs so snapshot → restore → snapshot is byte-stable; `pending` keeps its
-// live FIFO order because queue position is semantic.
-impl Serialize for GridWorld {
-    fn to_value(&self) -> Value {
-        let mut records: Vec<(JobId, &JobRecord)> =
-            self.records.iter().map(|(&id, r)| (id, r)).collect();
-        records.sort_by_key(|(id, _)| *id);
-        let records: Vec<Value> = records
-            .into_iter()
-            .map(|(id, r)| Value::Seq(vec![id.to_value(), r.to_value()]))
-            .collect();
-        let mut failed_on: Vec<(JobId, Vec<usize>)> = self
-            .failed_on
-            .iter()
-            .map(|(&id, set)| {
-                let mut v: Vec<usize> = set.iter().copied().collect();
-                v.sort_unstable();
-                (id, v)
-            })
-            .collect();
-        failed_on.sort_by_key(|(id, _)| *id);
-        let mut carry: Vec<(JobId, (f64, usize))> =
-            self.carry.iter().map(|(&id, &c)| (id, c)).collect();
-        carry.sort_by_key(|(id, _)| *id);
-        let mut grid_retries: Vec<(JobId, u32)> =
-            self.grid_retries.iter().map(|(&id, &n)| (id, n)).collect();
-        grid_retries.sort_by_key(|(id, _)| *id);
-        let pending: Vec<JobId> = self.pending.iter().copied().collect();
-        let mut fields = vec![
-            ("config".to_string(), self.config.to_value()),
-            ("resources".to_string(), self.resources.to_value()),
-            ("lrms".to_string(), self.lrms.to_value()),
-            ("boinc".to_string(), self.boinc.to_value()),
-            ("boinc_index".to_string(), self.boinc_index.to_value()),
-            (
-                "measured_speeds".to_string(),
-                self.measured_speeds.to_value(),
-            ),
-            ("mds".to_string(), self.mds.to_value()),
-            ("pending".to_string(), pending.to_value()),
-            ("records".to_string(), Value::Seq(records)),
-            ("failed_on".to_string(), failed_on.to_value()),
-            ("partitioned".to_string(), self.partitioned.to_value()),
-            ("stability".to_string(), self.stability.to_value()),
-            ("carry".to_string(), carry.to_value()),
-            ("grid_retries".to_string(), grid_retries.to_value()),
-            ("dead_lettered".to_string(), self.dead_lettered.to_value()),
-            ("completed".to_string(), self.completed.to_value()),
-            ("dispatches".to_string(), self.dispatches.to_value()),
-            (
-                "submissions_rendered".to_string(),
-                self.submissions_rendered.to_value(),
-            ),
-            ("telemetry".to_string(), self.telemetry.to_value()),
-            ("data".to_string(), self.data.to_value()),
-            ("rng".to_string(), self.rng.to_value()),
-        ];
-        // Key emitted only when tenancy is on: a tenancy-free world
-        // snapshots to bytes identical to those written before the
-        // subsystem existed — and restores from them (see `field_or` on
-        // the read side, the forward-compat half of the same contract).
-        if let Some(book) = &self.tenancy {
-            fields.push(("tenancy".to_string(), book.to_value()));
-        }
-        // Same contract for the workflow book (snapshot v3's only new key).
-        if let Some(book) = &self.flow {
-            fields.push(("flow".to_string(), book.to_value()));
-        }
-        Value::Map(fields)
-    }
-}
-
-impl Deserialize for GridWorld {
-    fn from_value(value: &Value) -> Result<Self, serde::Error> {
-        let fields = value
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for GridWorld"))?;
-        let records: Vec<(JobId, JobRecord)> = serde::field(fields, "records")?;
-        let failed_on: Vec<(JobId, Vec<usize>)> = serde::field(fields, "failed_on")?;
-        let carry: Vec<(JobId, (f64, usize))> = serde::field(fields, "carry")?;
-        let grid_retries: Vec<(JobId, u32)> = serde::field(fields, "grid_retries")?;
-        let pending: Vec<JobId> = serde::field(fields, "pending")?;
-        let resources: Vec<ResourceSpec> = serde::field(fields, "resources")?;
-        Ok(GridWorld {
-            config: serde::field(fields, "config")?,
-            // Derived matchmaking state: rebuilt from the restored resource
-            // list, never part of the snapshot bytes.
-            index: DispatchIndex::new(&resources),
-            resources,
-            lrms: serde::field(fields, "lrms")?,
-            boinc: serde::field(fields, "boinc")?,
-            boinc_index: serde::field(fields, "boinc_index")?,
-            measured_speeds: serde::field(fields, "measured_speeds")?,
-            mds: serde::field(fields, "mds")?,
-            pending: pending.into(),
-            records: records.into_iter().collect(),
-            failed_on: failed_on
-                .into_iter()
-                .map(|(id, v)| (id, v.into_iter().collect()))
-                .collect(),
-            partitioned: serde::field(fields, "partitioned")?,
-            stability: serde::field(fields, "stability")?,
-            carry: carry.into_iter().collect(),
-            grid_retries: grid_retries.into_iter().collect(),
-            dead_lettered: serde::field(fields, "dead_lettered")?,
-            completed: serde::field(fields, "completed")?,
-            dispatches: serde::field(fields, "dispatches")?,
-            submissions_rendered: serde::field(fields, "submissions_rendered")?,
-            telemetry: serde::field(fields, "telemetry")?,
-            data: serde::field(fields, "data")?,
-            rng: serde::field(fields, "rng")?,
-            // Absent in pre-tenancy (and tenancy-off) snapshots: restore
-            // as "no tenant state" and let `Grid::enable_tenancy` start
-            // fresh books on top if the service wants them.
-            tenancy: serde::field_or(fields, "tenancy", || None)?,
-            // Absent in pre-flow (and flow-off) snapshots; the book's own
-            // deserializer rebuilds slack tables and job-range lookups.
-            flow: serde::field_or(fields, "flow", || None)?,
-            // Host-side observer, meaningless across processes: a restored
-            // grid starts profiling from zero if re-enabled.
-            profiler: None,
-        })
-    }
-}
-
 impl World for GridWorld {
     type Event = GridEvent;
 
@@ -1351,7 +1178,10 @@ const TENANT_TOP_ROWS: usize = 10;
 const FLOW_TOP_ROWS: usize = 10;
 
 /// Aggregate results of a grid run.
-#[derive(Debug, Clone)]
+///
+/// The `flow` key is written only when the subsystem is on, so flow-free
+/// report JSON stays byte-identical to the pre-flow format.
+#[derive(Debug, Clone, Serialize)]
 pub struct GridReport {
     /// Jobs submitted.
     pub total_jobs: usize,
@@ -1393,59 +1223,10 @@ pub struct GridReport {
     pub tenancy: Option<tenancy::TenancySnapshot>,
     /// Workflow accounting (`None` when the grid runs without
     /// [`GridConfig::flow`]).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub flow: Option<flow::FlowSnapshot>,
     /// Per-job records, sorted by job id.
     pub records: Vec<JobRecord>,
-}
-
-// Manual encoding for the same reason as [`GridConfig`]: the `flow` key is
-// emitted only when the subsystem is on, so flow-free report JSON stays
-// byte-identical to the pre-flow format (E12-style pins assert this).
-impl Serialize for GridReport {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("total_jobs".to_string(), self.total_jobs.to_value()),
-            ("completed".to_string(), self.completed.to_value()),
-            ("dead_lettered".to_string(), self.dead_lettered.to_value()),
-            ("unfinished".to_string(), self.unfinished.to_value()),
-            (
-                "corrupt_completions".to_string(),
-                self.corrupt_completions.to_value(),
-            ),
-            (
-                "blacklist_events".to_string(),
-                self.blacklist_events.to_value(),
-            ),
-            (
-                "makespan_seconds".to_string(),
-                self.makespan_seconds.to_value(),
-            ),
-            (
-                "mean_turnaround_seconds".to_string(),
-                self.mean_turnaround_seconds.to_value(),
-            ),
-            (
-                "useful_cpu_seconds".to_string(),
-                self.useful_cpu_seconds.to_value(),
-            ),
-            (
-                "wasted_cpu_seconds".to_string(),
-                self.wasted_cpu_seconds.to_value(),
-            ),
-            ("total_reissues".to_string(), self.total_reissues.to_value()),
-            ("total_attempts".to_string(), self.total_attempts.to_value()),
-            ("dispatches".to_string(), self.dispatches.to_value()),
-            ("completed_by".to_string(), self.completed_by.to_value()),
-            ("data".to_string(), self.data.to_value()),
-            ("validation".to_string(), self.validation.to_value()),
-            ("tenancy".to_string(), self.tenancy.to_value()),
-        ];
-        if let Some(fl) = &self.flow {
-            fields.push(("flow".to_string(), fl.to_value()));
-        }
-        fields.push(("records".to_string(), self.records.to_value()));
-        Value::Map(fields)
-    }
 }
 
 /// The public driver around the simulation.
@@ -1943,7 +1724,8 @@ impl Grid {
     }
 }
 
-// Whole-grid checkpoint: everything `run_until_done` depends on rides along —
+// Kept by hand: restore goes through `Simulation::from_parts`. Whole-grid
+// checkpoint: everything `run_until_done` depends on rides along —
 // the clock, the processed-event count, every pending calendar entry, the
 // full world (queues, RNG streams, caches, reputations), and the submission
 // ledger — so a restored grid replays bit-identically to an uninterrupted
@@ -1968,7 +1750,9 @@ impl Deserialize for Grid {
         let fields = value
             .as_map()
             .ok_or_else(|| serde::Error::custom("expected map for Grid"))?;
-        let world: GridWorld = serde::field(fields, "world")?;
+        let mut world: GridWorld = serde::field(fields, "world")?;
+        // Derived matchmaking state, never part of the snapshot bytes.
+        world.index = DispatchIndex::new(&world.resources);
         let calendar: Calendar<GridEvent> = serde::field(fields, "calendar")?;
         let now: SimTime = serde::field(fields, "now")?;
         let processed: u64 = serde::field(fields, "processed")?;
@@ -2904,6 +2688,39 @@ mod tests {
                 restored.run_until(SimTime::from_days(5));
                 panic!("a pool with a zero mean on-time restored without error");
             }
+        }
+    }
+
+    #[test]
+    fn restore_rejects_a_repeated_job_record() {
+        use simkit::snapshot::{decode_value, encode};
+        use simkit::{Snapshot, SnapshotError};
+        fn entry<'a>(value: &'a mut Value, key: &str) -> &'a mut Value {
+            let Value::Map(entries) = value else {
+                panic!("expected a map around `{key}`");
+            };
+            &mut entries.iter_mut().find(|(k, _)| k == key).expect(key).1
+        }
+        // A checksum-valid snapshot with two `records` entries for one job
+        // used to restore silently and keep the last one; id-keyed pairs
+        // must now be strictly ascending.
+        let mut grid = chaos_grid(54);
+        grid.run_until(SimTime::from_hours(2));
+        let mut state = decode_value(&grid.to_snapshot()).expect("fresh snapshot decodes");
+        let Value::Seq(records) = entry(entry(&mut state, "world"), "records") else {
+            panic!("records are a pair sequence");
+        };
+        assert!(records.len() > 1);
+        records.insert(1, records[0].clone());
+        match Grid::from_snapshot(&encode(&state)) {
+            Err(SnapshotError::Corrupt(msg)) => {
+                assert!(
+                    msg.contains("strictly ascending"),
+                    "unexpected error: {msg}"
+                )
+            }
+            Err(other) => panic!("expected a corrupt-snapshot error, got {other:?}"),
+            Ok(_) => panic!("a snapshot with a repeated job record restored"),
         }
     }
 }

@@ -138,11 +138,12 @@ pub struct UserId(pub u64);
 /// keyed by username, guests by email; the first registration under a key
 /// wins). The reverse map is derived state rebuilt on restore, so a
 /// snapshot carries only the id-ordered user list.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Serialize)]
 pub struct UserDirectory {
     users: IdMap<User>,
     next: u64,
     /// Derived: intern key → id. Never serialized.
+    #[serde(skip)]
     by_key: HashMap<String, u64>,
 }
 
@@ -192,15 +193,7 @@ impl UserDirectory {
     }
 }
 
-impl Serialize for UserDirectory {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("users".to_string(), self.users.to_value()),
-            ("next".to_string(), self.next.to_value()),
-        ])
-    }
-}
-
+// Kept by hand: restore rebuilds the reverse map from the user list.
 impl Deserialize for UserDirectory {
     fn from_value(value: &Value) -> Result<Self, serde::Error> {
         let fields = value
@@ -279,6 +272,28 @@ mod tests {
         assert_eq!(
             serde_json::to_string(&dir.to_value()).unwrap(),
             serde_json::to_string(&rebuilt.to_value()).unwrap()
+        );
+    }
+
+    /// The exact snapshot JSON of a populated directory, captured at
+    /// commit `9b2dbeb`. No grid snapshot pin carries a directory.
+    #[test]
+    fn directory_json_is_pinned() {
+        let mut dir = UserDirectory::new();
+        dir.intern(User::registered("alice", "a@x.org").unwrap());
+        dir.intern(User::guest("g@x.org").unwrap());
+        dir.intern(User::registered("bob", "b@x.org").unwrap());
+        dir.intern(User::guest("alice@x.org").unwrap());
+        let json = serde_json::to_string(&dir).unwrap();
+        assert_eq!(
+            json,
+            r#"{"users":[[0,{"Registered":{"username":"alice","email":"a@x.org"}}],[1,{"Guest":{"email":"g@x.org"}}],[2,{"Registered":{"username":"bob","email":"b@x.org"}}],[3,{"Guest":{"email":"alice@x.org"}}]],"next":4}"#
+        );
+        let back: UserDirectory = serde_json::from_str(&json).unwrap();
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+        assert_eq!(
+            back.id_of(&User::guest("g@x.org").unwrap()),
+            Some(UserId(1))
         );
     }
 

@@ -20,7 +20,8 @@ pub struct SimRng {
     seed: u64,
 }
 
-// Snapshot form: the seed plus the ChaCha stream position `(counter, index)`.
+// Kept by hand: the snapshot stores the ChaCha stream position, not the
+// generator. Snapshot form: the seed plus the position `(counter, index)`.
 // Restoring re-derives the key from the seed and fast-forwards to the exact
 // word, so the restored stream continues bit-for-bit where it left off.
 impl Serialize for SimRng {

@@ -182,9 +182,10 @@ impl<T> FromIterator<(u64, T)> for IdMap<T> {
     }
 }
 
-// Snapshot form: a sequence of `[id, value]` pairs in ascending id order —
-// the same id-sorted-pairs shape the callers previously produced by sorting a
-// `HashMap`'s entries, so swapping the container does not move snapshot bytes.
+// Kept by hand: this is the `serde::sorted_pairs` encoding, written straight
+// from the id-ordered iteration (no sort). Snapshot form: a sequence of
+// `[id, value]` pairs in ascending id order, so swapping a sorted `HashMap`
+// for this container did not move snapshot bytes.
 impl<T: Serialize> Serialize for IdMap<T> {
     fn to_value(&self) -> Value {
         Value::Seq(
@@ -195,10 +196,10 @@ impl<T: Serialize> Serialize for IdMap<T> {
     }
 }
 
+// A repeated or out-of-order id is an error, not "last copy wins".
 impl<T: Deserialize> Deserialize for IdMap<T> {
     fn from_value(value: &Value) -> Result<Self, serde::Error> {
-        let pairs: Vec<(u64, T)> = Vec::from_value(value)?;
-        Ok(pairs.into_iter().collect())
+        serde::sorted_pairs::from_value(value)
     }
 }
 

@@ -18,6 +18,7 @@
 use crate::telemetry::FieldValue;
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize, Value};
+use std::collections::VecDeque;
 
 /// Identifier of a span within one [`SpanLog`] (dense, starting at 0).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
@@ -47,7 +48,7 @@ pub struct Span {
 /// A bounded, deterministic span log.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SpanLog {
-    spans: Vec<Span>,
+    spans: VecDeque<Span>,
     capacity: usize,
     next_id: u64,
     dropped: u64,
@@ -57,7 +58,7 @@ impl SpanLog {
     /// A log retaining at most `capacity` spans.
     pub fn new(capacity: usize) -> SpanLog {
         SpanLog {
-            spans: Vec::new(),
+            spans: VecDeque::new(),
             capacity,
             next_id: 0,
             dropped: 0,
@@ -134,7 +135,7 @@ impl SpanLog {
     }
 
     /// Retained spans, oldest first.
-    pub fn spans(&self) -> &[Span] {
+    pub fn spans(&self) -> &VecDeque<Span> {
         &self.spans
     }
 
@@ -170,10 +171,10 @@ impl SpanLog {
             return SpanId(id);
         }
         if self.spans.len() == self.capacity {
-            self.spans.remove(0);
+            self.spans.pop_front();
             self.dropped += 1;
         }
-        self.spans.push(span);
+        self.spans.push_back(span);
         SpanId(id)
     }
 
@@ -294,7 +295,12 @@ mod tests {
         assert_eq!(log.dropped(), 1);
         assert!(log.get(s0).is_none());
         assert!(!log.end(s0, SimTime::from_secs(1)));
-        assert_eq!(log.spans().len(), 2);
+        let names: Vec<&str> = log.spans().iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(
+            names,
+            ["b", "c"],
+            "the ring keeps the newest spans in order"
+        );
     }
 
     #[test]

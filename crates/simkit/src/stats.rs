@@ -70,6 +70,7 @@ fn extreme_from_value(value: &Value) -> Result<f64, serde::Error> {
     }
 }
 
+// Kept by hand: the ±inf sentinels above have no derive equivalent.
 impl Serialize for Tally {
     fn to_value(&self) -> Value {
         Value::Map(vec![

@@ -190,3 +190,82 @@ fn campaign_pipeline_surfaces_the_snapshot() {
         result.report.completed as u64
     );
 }
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
+/// Hash a grid's snapshot after checking that every part of the
+/// observability pack it carries is populated.
+fn pack_snapshot_hash(grid: &Grid, label: &str) -> u64 {
+    use simkit::Snapshot;
+    let snapshot = grid.to_snapshot();
+    let state = simkit::snapshot::decode_value(&snapshot).expect("valid envelope");
+    let key = |map: &serde::Value, name: &str| -> serde::Value {
+        let entries = map.as_map().expect("a map");
+        entries
+            .iter()
+            .find(|(k, _)| k == name)
+            .expect(name)
+            .1
+            .clone()
+    };
+    let telemetry = key(&key(&state, "world"), "telemetry");
+    for name in ["series", "slo", "tracer"] {
+        assert_ne!(
+            key(&telemetry, name),
+            serde::Value::Null,
+            "{label}: no `{name}`"
+        );
+    }
+    for name in ["traces", "pending_alerts"] {
+        let items = key(&telemetry, name);
+        assert!(
+            !items.as_seq().expect(name).is_empty(),
+            "{label}: `{name}` is empty"
+        );
+    }
+    fnv1a(snapshot.as_bytes())
+}
+
+/// Whole-grid snapshot pins for the full observability pack: windowed
+/// series, SLO engine, span log, per-job traces and undrained alerts. The
+/// pins in `tests/dispatch_equivalence.rs` only run
+/// `TelemetryConfig::default`, so these are the ones that reach the pack's
+/// state. Thirty jobs need software no resource has, so they wait in the
+/// grid queue for good and the queue-backlog rule fires. FNV-1a 64 of
+/// `Grid::to_snapshot()` one sim-hour and four sim-hours in, captured at
+/// commit `9b2dbeb`.
+#[test]
+fn observability_pack_snapshot_is_pinned() {
+    use gridsim::telemetry::TelemetryConfig;
+    use simkit::SimDuration;
+
+    const PINS: (u64, u64) = (0xfc68_f8f6_0f8d_93f9, 0x0735_19b7_4b41_6893);
+    let seed = 23;
+    // The pack with a 512-span ring instead of 4096, so both pins also
+    // cover span eviction.
+    let mut pack = TelemetryConfig::observability(SimDuration::from_mins(5));
+    pack.trace_capacity = 512;
+    let mut grid = Grid::new(GridConfig {
+        telemetry: Some(pack),
+        ..standard_grid(seed)
+    });
+    let mut jobs = workload(400, seed);
+    jobs.extend((400..430).map(|id| {
+        let mut job = JobSpec::simple(id, 3600.0);
+        job.software_deps = vec!["no-such-package".into()];
+        job
+    }));
+    grid.submit(jobs);
+    grid.run_until(SimTime::from_hours(1));
+    let mid = pack_snapshot_hash(&grid, "mid-run");
+    grid.run_until(SimTime::from_hours(4));
+    let fin = pack_snapshot_hash(&grid, "final");
+    assert_eq!((mid, fin), PINS, "pins drifted: ({mid:#018x}, {fin:#018x})");
+}
